@@ -39,9 +39,7 @@ class InsenseConfig:
     eps1/eps2 smooth the objective (eps2 < eps1 << 1).  The run stops when
     the relative objective change drops below rel_tol or after max_iters
     iterations.  The line search shrinks the step by ls_shrink starting
-    from ls_init_step until the objective stops increasing; ls_c is the
-    sufficient-decrease coefficient reserved for a stricter Armijo rule
-    and is not consulted by the default monotone acceptance.
+    from ls_init_step until the objective stops increasing.
     """
 
     eps1: float = 1e-9
@@ -49,7 +47,6 @@ class InsenseConfig:
     rel_tol: float = 1e-7
     max_iters: int = 5000
     ls_shrink: float = 0.5
-    ls_c: float = 1e-4
     ls_init_step: float = 1.0
     init: str = "uniform"
     jitter_scale: float = 1e-3

@@ -2,11 +2,17 @@
 
 solve_bp finds the minimum-l1 solution of an equality-constrained linear
 system by splitting x into positive and negative parts and handing the
-resulting linear program to scipy's HiGHS backend.  evaluate_recovery
-replays the sweep protocol: plant a unit-magnitude k-sparse signal on
-every size-k support (or a seeded sample of them when there are too
-many), measure it through the selected rows, and count the supports that
-basis pursuit reproduces exactly.
+resulting linear program to the HiGHS solver bundled with scipy.
+evaluate_recovery replays the sweep protocol: plant a unit-magnitude
+k-sparse signal on every size-k support (or a seeded sample of them when
+there are too many), measure it through the selected rows, and count the
+supports that basis pursuit reproduces exactly.
+
+Every trial of a sweep shares the constraint matrix and only the
+measurement changes, so a sweep builds one HiGHS model and re-solves it
+with new row bounds per trial, in support order: each solve is a dual
+simplex run warm-started from the basis the previous trial ended in, and
+BpConfig.max_iters caps the simplex iterations of each such run.
 
 The sweep sees the selected submatrix with its columns scaled to unit
 l2 norm.  Column coherence, the quantity the selectors optimize, only
@@ -23,7 +29,8 @@ import numpy as np
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
+from scipy.sparse import csc_array
 
 from .exceptions import SolverFailureError
 from .metrics import as_sensing_matrix, validate_subset
@@ -37,7 +44,9 @@ class BpConfig:
     feas_tol bounds the equality residual of an accepted solution and
     exact_tol the per-entry distance at which a trial counts as exact
     recovery; the seed drives support sampling once (n choose k) exceeds
-    sample_cap.
+    sample_cap.  max_iters caps the simplex iterations of one solve; inside
+    a sweep a solve starts from the previous trial's basis, so it counts
+    only the iterations needed to move on from there.
     """
 
     feas_tol: float = 1e-8
@@ -72,6 +81,7 @@ class RecoveryReport:
     exact_count: int
     accuracy_percent: float
     sampled: bool
+    solver_failures: int = 0
     per_trial: list[TrialOutcome] | None = None
 
     def to_dict(self, include_trials=False):
@@ -80,6 +90,7 @@ class RecoveryReport:
             "exact_count": self.exact_count,
             "accuracy_percent": self.accuracy_percent,
             "sampled": self.sampled,
+            "solver_failures": self.solver_failures,
         }
         if include_trials and self.per_trial is not None:
             out["per_trial"] = [
@@ -92,6 +103,60 @@ class RecoveryReport:
                 for t in self.per_trial
             ]
         return out
+
+
+class _BasisPursuit:
+    """The basis pursuit LP of a fixed matrix, re-solved for each measurement.
+
+    min 1'[u; v] subject to [a, -a][u; v] = y, u, v >= 0, held in one
+    HiGHS model; solve(y) only changes the row bounds, so HiGHS starts
+    from the basis the previous solve ended in.
+    """
+
+    def __init__(self, a, cfg):
+        m, n = a.shape
+        mat = csc_array(np.hstack([a, -a]))
+        lp = _highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = 2 * n
+        lp.num_row_ = lp.a_matrix_.num_row_ = m
+        lp.col_cost_ = np.ones(2 * n)
+        lp.col_lower_ = np.zeros(2 * n)
+        lp.col_upper_ = np.full(2 * n, _highs.kHighsInf)
+        lp.row_lower_ = lp.row_upper_ = np.zeros(m)
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = mat.indptr
+        lp.a_matrix_.index_ = mat.indices
+        lp.a_matrix_.value_ = mat.data
+        self._a = a
+        self._feas_tol = cfg.feas_tol
+        self._highs = _highs._Highs()
+        self._highs.setOptionValue("output_flag", False)
+        self._highs.setOptionValue("simplex_iteration_limit", int(cfg.max_iters))
+        self._highs.passModel(lp)
+
+    def solve(self, y):
+        """Minimum-l1 x with a @ x = y; raises SolverFailureError."""
+        highs = self._highs
+        for row, value in enumerate(y.tolist()):
+            highs.changeRowBounds(row, value, value)
+        highs.run()
+        status = highs.getModelStatus()
+        solution = highs.getSolution()
+        x, residual = None, float("nan")
+        if solution.value_valid:
+            uv = np.asarray(solution.col_value)
+            n = self._a.shape[1]
+            x = uv[:n] - uv[n:]
+            residual = float(np.linalg.norm(self._a @ x - y))
+        if status != _highs.HighsModelStatus.kOptimal or x is None:
+            raise SolverFailureError(
+                f"basis pursuit LP failed: {highs.modelStatusToString(status)}", residual=residual
+            )
+        if residual > self._feas_tol:
+            raise SolverFailureError(
+                f"basis pursuit solution infeasible (residual {residual:.3e})", residual=residual
+            )
+        return x
 
 
 def solve_bp(phi_sub, y, cfg=None):
@@ -122,28 +187,9 @@ def solve_bp(phi_sub, y, cfg=None):
         raise ValueError(f"measurement matrix must be 2-D, got shape {a.shape}")
     if y.shape != (a.shape[0],):
         raise ValueError(f"dimension mismatch: matrix {a.shape} vs measurement {y.shape}")
-    n = a.shape[1]
-    res = linprog(
-        c=np.ones(2 * n),
-        A_eq=np.hstack([a, -a]),
-        b_eq=y,
-        bounds=(0, None),
-        method="highs",
-        options={"maxiter": cfg.max_iters},
-    )
-    if not res.success:
-        residual = float("nan")
-        if res.x is not None:
-            x = res.x[:n] - res.x[n:]
-            residual = float(np.linalg.norm(a @ x - y))
-        raise SolverFailureError(f"basis pursuit LP failed: {res.message}", residual=residual)
-    x = res.x[:n] - res.x[n:]
-    residual = float(np.linalg.norm(a @ x - y))
-    if residual > cfg.feas_tol:
-        raise SolverFailureError(
-            f"basis pursuit solution infeasible (residual {residual:.3e})", residual=residual
-        )
-    return x
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(y))):
+        raise ValueError("measurement matrix and measurements must be finite")
+    return _BasisPursuit(a, cfg).solve(y)
 
 
 def _unit_columns(a):
@@ -173,12 +219,18 @@ def _supports(n, k, cfg):
     rng = seeded_rng(cfg.seed)
     if total <= max(4 * cfg.sample_cap, 1_000_000):
         ranks = rng.permutation(total)[: cfg.sample_cap]
-    else:
+    elif total < 2**63:
         # collisions are rare at this size; rejection converges quickly
         seen = set()
         while len(seen) < cfg.sample_cap:
             seen.add(int(rng.integers(total)))
         ranks = list(seen)
+    else:
+        # ranks no longer fit in int64: draw uniform supports directly
+        seen = set()
+        while len(seen) < cfg.sample_cap:
+            seen.add(tuple(sorted(rng.choice(n, k, replace=False).tolist())))
+        return sorted(seen), True
     return [_unrank_combination(int(r), n, k) for r in sorted(ranks)], True
 
 
@@ -189,7 +241,9 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
     y = A @ x through the column-normalized submatrix A, runs basis
     pursuit, and counts the trial as exact when the reconstruction is
     within exact_tol of x in every entry.  A solver failure marks the
-    trial as not recovered and the sweep goes on.
+    trial as not recovered, is counted in solver_failures, and the sweep
+    goes on.  All trials share one warm-started LP model (see the module
+    docstring).
 
     Returns
     -------
@@ -203,19 +257,21 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
         raise ValueError(f"sparsity k={k} outside [1, {n})")
     a = _unit_columns(phi[idx])
     supports, sampled = _supports(n, k, cfg)
+    bp = _BasisPursuit(a, cfg)
     trials = [] if keep_trials else None
-    exact = 0
+    exact = failures = 0
     for support in supports:
         x = np.zeros(n)
         x[list(support)] = 1.0
         y = a @ x
         try:
-            xhat = solve_bp(a, y, cfg)
+            xhat = bp.solve(y)
             residual = float(np.linalg.norm(a @ xhat - y))
             err = float(np.max(np.abs(xhat - x)))
             recovered = err <= cfg.exact_tol
         except SolverFailureError as exc:
             residual, err, recovered = exc.residual, math.inf, False
+            failures += 1
         exact += recovered
         if keep_trials:
             trials.append(TrialOutcome(support, bool(recovered), residual, err))
@@ -225,5 +281,6 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
         exact_count=exact,
         accuracy_percent=100.0 * exact / total,
         sampled=sampled,
+        solver_failures=failures,
         per_trial=trials,
     )

@@ -116,6 +116,7 @@ def test_recover_square_system_is_perfect(capsys):
     )
     assert code == 0
     assert payload["accuracy_percent"] == 100.0
+    assert payload["solver_failures"] == 0
 
 
 def test_metrics_on_matrix_file_with_subset(capsys, tmp_path):
@@ -249,6 +250,8 @@ def test_benchmark_config_errors_exit_1(capsys, tmp_path):
     variants.append(dict(base, matrix={"kind": "gaussian", "file": "x.csv"}))
     variants.append(dict(base, selectors=[{"method": "warp"}]))
     variants.append(dict(base, selectors=[{"method": "random", "seed": 1}]))
+    # ls_c was an InsenseConfig field that nothing read; it is gone
+    variants.append(dict(base, selectors=[{"method": "insense", "ls_c": 1e-4}]))
     variants.append(
         dict(base, selectors=[{"method": "random", "name": "r"},
                               {"method": "fp-greedy", "name": "r"}])

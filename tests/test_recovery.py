@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import insense.recovery as recovery
 from insense import BpConfig, SolverFailureError, evaluate_recovery, solve_bp
-from insense.recovery import _unrank_combination
+from insense.recovery import _supports, _unrank_combination
 
 
 def _min_l1_by_enumeration(a, y, max_support, feas_tol=1e-9):
@@ -37,6 +38,87 @@ def _min_l1_by_enumeration(a, y, max_support, feas_tol=1e-9):
         if not any(np.max(np.abs(x - seen)) <= 1e-8 for seen in distinct):
             distinct.append(x)
     return best, distinct
+
+
+def _linprog_bp(a, y):
+    """Reference basis pursuit: one cold linprog solve."""
+    n = a.shape[1]
+    res = linprog(np.ones(2 * n), A_eq=np.hstack([a, -a]), b_eq=y, bounds=(0, None),
+                  method="highs")
+    assert res.success
+    return res.x[:n] - res.x[n:]
+
+
+def _unique_bp_optimum(a, x):
+    """Whether x is the only minimum-l1 point of {z : a @ z = a @ x}.
+
+    Exact test (Zhang, Yin & Cheng 2015): the support columns are
+    independent and some dual w with a_S' w = sign(x_S) has |a_j' w| < 1
+    off the support; the LP below maximizes that margin t over w.
+    """
+    on = np.abs(x) > 1e-9
+    if np.linalg.matrix_rank(a[:, on]) < on.sum():
+        return False
+    m = a.shape[0]
+    off = a[:, ~on].T
+    ones = np.ones((off.shape[0], 1))
+    res = linprog(
+        np.r_[np.zeros(m), -1.0],
+        A_ub=np.block([[off, ones], [-off, ones]]),
+        b_ub=np.ones(2 * off.shape[0]),
+        A_eq=np.hstack([a[:, on].T, np.zeros((on.sum(), 1))]),
+        b_eq=np.sign(x[on]),
+        bounds=[(None, None)] * m + [(None, 1.0)],
+        method="highs",
+    )
+    return res.success and -res.fun > 1e-7
+
+
+def _sweep_vs_linprog(a, k, cfg):
+    """Trial by trial: the warm-started sweep model against cold linprog solves.
+
+    Verdicts must agree; solutions must agree to 1e-6 unless the
+    reference optimum is not unique.  Returns (trials, trials that agree).
+    """
+    n = a.shape[1]
+    supports, _ = _supports(n, k, cfg)
+    report = evaluate_recovery(a, np.arange(a.shape[0]), k, cfg, keep_trials=True)
+    assert [t.support for t in report.per_trial] == supports
+    bp = recovery._BasisPursuit(a, cfg)
+    close = 0
+    for support, trial in zip(supports, report.per_trial):
+        x = np.zeros(n)
+        x[list(support)] = 1.0
+        y = a @ x
+        ref = _linprog_bp(a, y)
+        assert trial.recovered == (np.max(np.abs(ref - x)) <= cfg.exact_tol)
+        if np.max(np.abs(bp.solve(y) - ref)) <= 1e-6:
+            close += 1
+        else:
+            assert not _unique_bp_optimum(a, ref), support
+    return len(supports), close
+
+
+def test_sweep_matches_linprog_reference():
+    rng = np.random.default_rng(11)
+    a = recovery._unit_columns(rng.standard_normal((10, 40)))
+    total, close = _sweep_vs_linprog(a, 2, BpConfig())
+    assert total == math.comb(40, 2) and close >= 0.9 * total
+    total, close = _sweep_vs_linprog(a, 3, BpConfig(seed=5, sample_cap=300))
+    assert total == 300 and close >= 0.9 * total
+
+
+def test_iteration_limited_sweep_has_no_false_positives():
+    # warm starts from the basis an iteration-limited solve left behind
+    rng = np.random.default_rng(12)
+    phi = rng.standard_normal((10, 40))
+    rows = np.arange(10)
+    limited = evaluate_recovery(phi, rows, 2, BpConfig(max_iters=3), keep_trials=True)
+    full = evaluate_recovery(phi, rows, 2, keep_trials=True)
+    assert limited.solver_failures > 0 and full.solver_failures == 0
+    for lim, ref in zip(limited.per_trial, full.per_trial):
+        assert lim.support == ref.support
+        assert ref.recovered or not lim.recovered
 
 
 def test_identity_system_returns_rhs():
@@ -95,6 +177,22 @@ def test_solver_input_errors():
         solve_bp(np.ones(3), np.ones(3))
     with pytest.raises(ValueError):
         solve_bp(np.ones((2, 3)), np.ones(3))
+    with pytest.raises(ValueError):
+        solve_bp(np.array([[np.nan, 1.0]]), np.ones(1))
+    with pytest.raises(ValueError):
+        solve_bp(np.eye(2), np.array([np.inf, 1.0]))
+
+
+def test_iteration_limit_is_a_solver_failure():
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((10, 20))
+    with pytest.raises(SolverFailureError, match="Iteration limit"):
+        solve_bp(a, a @ rng.standard_normal(20), BpConfig(max_iters=1))
+
+
+def test_inconsistent_system_is_a_solver_failure():
+    with pytest.raises(SolverFailureError, match="Infeasible"):
+        solve_bp(np.ones((2, 2)), np.array([1.0, 2.0]))
 
 
 def test_sweep_on_identity_rows_counts_covered_pairs():
@@ -149,14 +247,34 @@ def test_sampled_supports_are_distinct_and_sorted():
 
 
 def test_solver_failure_marks_trial_and_continues(monkeypatch):
-    def boom(a, y, cfg=None):
+    def boom(self, y):
         raise SolverFailureError("forced failure", residual=1.0)
 
-    monkeypatch.setattr(recovery, "solve_bp", boom)
+    monkeypatch.setattr(recovery._BasisPursuit, "solve", boom)
     report = evaluate_recovery(np.eye(4), np.arange(4), 1, keep_trials=True)
     assert report.exact_count == 0
     assert all(not t.recovered for t in report.per_trial)
     assert all(math.isinf(t.linf_error) for t in report.per_trial)
+    assert report.solver_failures == report.total_trials
+
+
+def test_supports_sample_when_the_count_overflows_int64():
+    assert math.comb(2000, 12) >= 2**63
+    cfg = BpConfig(seed=3, sample_cap=5)
+    supports, sampled = _supports(2000, 12, cfg)
+    assert sampled and len(set(supports)) == len(supports) == 5
+    assert supports == sorted(supports)
+    assert all(len(s) == 12 and list(s) == sorted(set(s)) and 0 <= s[0] and s[-1] < 2000
+               for s in supports)
+    assert _supports(2000, 12, cfg) == (supports, True)
+
+
+def test_support_draws_below_the_int64_limit_are_pinned():
+    # both rank-drawing branches: a permutation, and rejection over ranks
+    assert _supports(12, 3, BpConfig(seed=1, sample_cap=4)) == (
+        [(0, 1, 9), (0, 2, 7), (4, 6, 9), (5, 7, 11)], True)
+    assert _supports(200, 5, BpConfig(seed=0, sample_cap=3)) == (
+        [(14, 17, 28, 83, 120), (26, 48, 49, 91, 127), (36, 51, 128, 160, 180)], True)
 
 
 def test_unrank_matches_lexicographic_order():
@@ -171,6 +289,7 @@ def test_report_serialization():
     assert payload["accuracy_percent"] == 100.0
     assert payload["exact_count"] == payload["total_trials"] == 3
     assert len(payload["per_trial"]) == 3
+    assert payload["solver_failures"] == 0
     assert "per_trial" not in report.to_dict()
 
 
