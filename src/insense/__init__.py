@@ -6,23 +6,16 @@ sparse signals survive the trip through the selected rows and back out of
 basis pursuit.  The package bundles the projected-gradient selector, the
 scaled boxed-simplex projection it relies on, reference baselines, matrix
 quality metrics, a basis-pursuit recovery harness, seeded ensemble
-generators, and a CLI (`insense`) tying them together.
+generators, the selector registry and benchmark engine
+(`insense.experiment`), and a CLI (`insense`) tying them together.
 """
 
-from .baselines import (
-    BaselineConfig,
-    select_baseline,
-    select_exhaustive_mu_avg,
-    select_fp_greedy,
-    select_random,
-)
+from .baselines import select_exhaustive_mu_avg, select_fp_greedy, select_random
 from .datagen import EnsembleSpec, block_layout, generate, load_matrix, manifest, save_matrix
 from .exceptions import (
-    DegenerateProjectionError,
     ExhaustiveLimitError,
     InfeasibleConstraintError,
     InsenseError,
-    InvalidPairError,
     InvalidSubsetError,
     MatrixParseError,
     NumericalFailureError,
@@ -36,7 +29,6 @@ from .metrics import (
     metric_report,
     mu_avg,
     mu_max,
-    pairwise_coherence,
 )
 from .optimizer import (
     InsenseConfig,
@@ -54,15 +46,12 @@ from .seeding import derive_seed, seeded_rng
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineConfig",
     "BpConfig",
-    "DegenerateProjectionError",
     "EnsembleSpec",
     "ExhaustiveLimitError",
     "InfeasibleConstraintError",
     "InsenseConfig",
     "InsenseError",
-    "InvalidPairError",
     "InvalidSubsetError",
     "MatrixParseError",
     "MetricReport",
@@ -87,12 +76,10 @@ __all__ = [
     "metric_report",
     "mu_avg",
     "mu_max",
-    "pairwise_coherence",
     "project_sbs",
     "run_insense",
     "save_matrix",
     "seeded_rng",
-    "select_baseline",
     "select_exhaustive_mu_avg",
     "select_fp_greedy",
     "select_random",

@@ -9,26 +9,11 @@ import math
 
 import numpy as np
 
-from dataclasses import dataclass
-
 from .exceptions import ExhaustiveLimitError
 from .metrics import as_sensing_matrix, mu_avg, validate_budget
 from .seeding import seeded_rng
 
-_METHODS = ("random", "fp-greedy", "exhaustive-mu-avg")
-
-
-@dataclass
-class BaselineConfig:
-    """Which baseline to run and its knobs (seed applies to random only)."""
-
-    method: str = "random"
-    seed: int = 0
-    exhaustive_limit: int = 1_000_000
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
+EXHAUSTIVE_LIMIT = 1_000_000  # default cap on the subsets one exhaustive search visits
 
 
 def select_random(phi, m, seed=0):
@@ -64,7 +49,7 @@ def select_fp_greedy(phi, m):
     return np.nonzero(alive)[0]
 
 
-def select_exhaustive_mu_avg(phi, m, limit=1_000_000):
+def select_exhaustive_mu_avg(phi, m, limit=EXHAUSTIVE_LIMIT):
     """Minimum-mu_avg subset by full enumeration over (d choose m) subsets.
 
     Subsets with undefined coherence (a zero column) rank last; ties keep
@@ -86,11 +71,3 @@ def select_exhaustive_mu_avg(phi, m, limit=1_000_000):
             best_subset, best_val = combo, key
     return np.asarray(best_subset, dtype=int)
 
-
-def select_baseline(phi, m, cfg):
-    """Dispatch a BaselineConfig to the matching selector."""
-    if cfg.method == "random":
-        return select_random(phi, m, seed=cfg.seed)
-    if cfg.method == "fp-greedy":
-        return select_fp_greedy(phi, m)
-    return select_exhaustive_mu_avg(phi, m, limit=cfg.exhaustive_limit)

@@ -15,7 +15,6 @@ environment variable supplies the default output directory.
 """
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -24,35 +23,14 @@ import time
 
 import numpy as np
 
-from .baselines import select_exhaustive_mu_avg, select_fp_greedy, select_random
-from .datagen import (
-    KINDS,
-    EnsembleSpec,
-    block_layout,
-    generate,
-    load_matrix,
-    manifest,
-    save_matrix,
-)
+from .baselines import EXHAUSTIVE_LIMIT
+from .datagen import KINDS, EnsembleSpec, generate, load_matrix, manifest, save_matrix
 from .exceptions import InsenseError
-from .metrics import extract_submatrix, metric_report, validate_budget, validate_subset
-from .optimizer import InsenseConfig, run_insense
+from .experiment import SELECTORS, configure, resolve_config, run_benchmark, write_outputs
+from .metrics import extract_submatrix, metric_report, validate_subset
 from .recovery import BpConfig, evaluate_recovery
-from .seeding import derive_seed
 
 OUTDIR_ENV = "INSENSE_OUTDIR"
-METHODS = ("insense", "random", "fp-greedy", "exhaustive-mu-avg")
-_DEFAULT_LIMIT = 1_000_000
-_SUMMARY_COLUMNS = (
-    "mu_avg",
-    "mu_max",
-    "frame_potential",
-    "condition_number",
-    "gaussian_ratio",
-    "time_s",
-)
-# insense selector options a benchmark config may set; seeds are always derived
-_INSENSE_OPTIONS = {f.name for f in dataclasses.fields(InsenseConfig)} - {"seed"}
 
 
 class _UsageError(Exception):
@@ -192,21 +170,12 @@ def cmd_generate(args):
 
 def cmd_select(args):
     phi, source = _load_phi(args)
-    validate_budget(args.m, phi.shape[0])
-    options = {}
-    result = None
+    selector = SELECTORS[args.method]
+    # the method's options are the flags of the same name, e.g. --max-iters
+    options = {k: v for k, v in vars(args).items() if k in selector.options}
+    settings = configure(args.method, options)
     start = time.perf_counter()
-    if args.method == "insense":
-        options = {"restarts": args.restarts, "max_iters": args.max_iters, "init": args.init}
-        result = run_insense(phi, args.m, InsenseConfig(seed=args.seed, **options))
-        subset = result.subset
-    elif args.method == "random":
-        subset = select_random(phi, args.m, seed=args.seed)
-    elif args.method == "fp-greedy":
-        subset = select_fp_greedy(phi, args.m)
-    else:
-        options = {"exhaustive_limit": args.exhaustive_limit}
-        subset = select_exhaustive_mu_avg(phi, args.m, limit=args.exhaustive_limit)
+    subset, result = selector.run(phi, args.m, args.seed, settings)
     elapsed = time.perf_counter() - start
     payload = {
         "matrix": source,
@@ -268,271 +237,14 @@ def cmd_recover(args):
     return 0
 
 
-def _check_selector_options(method, options):
-    if method == "insense":
-        unknown = set(options) - _INSENSE_OPTIONS
-    elif method == "exhaustive-mu-avg":
-        unknown = set(options) - {"exhaustive_limit"}
-    else:
-        unknown = set(options)
-    if unknown:
-        raise InsenseError(f"unknown options for {method}: {sorted(unknown)}")
-
-
-def _resolve_benchmark_config(raw, base_dir, args):
-    """Validate a benchmark config and fill in defaults.
-
-    Paths inside the config resolve relative to the config file.  The
-    returned dict is what gets embedded in every output file, so the
-    same resolved config always reproduces the same numbers (wall-clock
-    columns aside).
-    """
-    if not isinstance(raw, dict):
-        raise InsenseError("config root must be a JSON object")
-    known = {
-        "matrix",
-        "seed",
-        "trials",
-        "budgets",
-        "sparsities",
-        "selectors",
-        "sample_cap",
-        "formats",
-        "output_dir",
-    }
-    extra = set(raw) - known
-    if extra:
-        raise InsenseError(f"unknown config keys: {sorted(extra)}")
-
-    matrix = raw.get("matrix")
-    if not isinstance(matrix, dict) or ("file" in matrix) == ("kind" in matrix):
-        raise InsenseError("config 'matrix' must hold either 'file' or 'kind'")
-    if "file" in matrix:
-        path = matrix["file"]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        matrix = {"file": path}
-    else:
-        matrix = {
-            "kind": matrix["kind"],
-            "d": int(matrix.get("d", 0)),
-            "n": int(matrix.get("n", 0)),
-            "gaussian_rows": int(matrix.get("gaussian_rows", 10)),
-            "signed": bool(matrix.get("signed", False)),
-        }
-        if matrix["kind"] not in KINDS:
-            raise InsenseError(f"unknown ensemble kind {matrix['kind']!r}")
-
-    selectors = raw.get("selectors")
-    if not isinstance(selectors, list) or not selectors:
-        raise InsenseError("config must list at least one selector")
-    resolved = []
-    labels = set()
-    for entry in selectors:
-        if not isinstance(entry, dict) or "method" not in entry:
-            raise InsenseError("each selector entry needs a 'method'")
-        method = entry["method"]
-        if method not in METHODS:
-            raise InsenseError(f"unknown selector method {method!r}")
-        options = {k: v for k, v in entry.items() if k not in ("method", "name")}
-        if "seed" in options:
-            raise InsenseError("per-selector seeds are derived from the top-level seed")
-        _check_selector_options(method, options)
-        label = entry.get("name", method)
-        if label in labels:
-            raise InsenseError(f"duplicate selector name {label!r}")
-        labels.add(label)
-        resolved.append({"name": label, "method": method, "options": options})
-
-    budgets = raw.get("budgets")
-    if not isinstance(budgets, list) or not budgets:
-        raise InsenseError("config must list at least one budget")
-    budgets = [int(m) for m in budgets]
-    sparsities = [int(k) for k in raw.get("sparsities", [])]
-    if any(m < 1 for m in budgets) or any(k < 1 for k in sparsities):
-        raise InsenseError("budgets and sparsities must be positive")
-    trials = int(raw.get("trials", 1))
-    if trials < 1:
-        raise InsenseError("trials must be at least 1")
-    formats = raw.get("formats", ["csv", "json"])
-    if not formats or any(f not in ("csv", "json") for f in formats):
-        raise InsenseError("formats must be a non-empty subset of ['csv', 'json']")
-
-    output_dir = raw.get("output_dir")
-    if output_dir is None:
-        output_dir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
-    elif not os.path.isabs(output_dir):
-        output_dir = os.path.join(base_dir, output_dir)
-    return {
-        "matrix": matrix,
-        "seed": int(raw.get("seed", 0)),
-        "trials": trials,
-        "budgets": budgets,
-        "sparsities": sparsities,
-        "selectors": resolved,
-        "sample_cap": int(raw.get("sample_cap", 10000)),
-        "formats": sorted(set(formats)),
-        "output_dir": output_dir,
-    }
-
-
-def _dispatch_selector(phi, m, selector, seed):
-    method, options = selector["method"], selector["options"]
-    if method == "insense":
-        return run_insense(phi, m, InsenseConfig(seed=seed, **options)).subset
-    if method == "random":
-        return select_random(phi, m, seed=seed)
-    if method == "fp-greedy":
-        return select_fp_greedy(phi, m)
-    return select_exhaustive_mu_avg(phi, m, limit=options.get("exhaustive_limit", _DEFAULT_LIMIT))
-
-
-def _benchmark_cell(cfg, phi, layout, trial, s_idx, selector, m_idx, m):
-    """Run one (trial, selector, budget) cell; failures land in the error column."""
-    row = {
-        "trial": trial,
-        "selector": selector["name"],
-        "m": m,
-        "mu_avg": None,
-        "mu_max": None,
-        "frame_potential": None,
-        "condition_number": None,
-        "gaussian_ratio": None,
-        "time_s": None,
-        "subset": None,
-        "error": None,
-    }
-    for k in cfg["sparsities"]:
-        row[f"bp_acc_k{k}"] = None
-    # stream tags: 0 = matrix draw, 1 = selector, 2 = recovery sampling
-    sel_seed = derive_seed(cfg["seed"], 1, trial, s_idx, m_idx)
-    try:
-        start = time.perf_counter()
-        subset = _dispatch_selector(phi, m, selector, sel_seed)
-        row["time_s"] = time.perf_counter() - start
-    except (InsenseError, ValueError) as exc:
-        row["error"] = f"select: {exc}"
-        return row
-    row["subset"] = [int(i) for i in subset]
-    report = metric_report(extract_submatrix(phi, subset))
-    row["mu_avg"], row["mu_max"] = report.mu_avg, report.mu_max
-    row["frame_potential"] = report.frame_potential
-    row["condition_number"] = report.condition_number
-    if layout is not None and "gaussian" in layout:
-        lo, hi = layout["gaussian"]
-        inside = sum(1 for i in row["subset"] if lo <= i < hi)
-        row["gaussian_ratio"] = 100.0 * inside / len(row["subset"])
-    for k_idx, k in enumerate(cfg["sparsities"]):
-        # same supports for every selector at a given (trial, m, k)
-        rec_cfg = BpConfig(
-            seed=derive_seed(cfg["seed"], 2, trial, m_idx, k_idx),
-            sample_cap=cfg["sample_cap"],
-        )
-        try:
-            rec = evaluate_recovery(phi, subset, k, rec_cfg)
-        except (InsenseError, ValueError) as exc:
-            row["error"] = f"recover k={k}: {exc}"
-            continue
-        row[f"bp_acc_k{k}"] = rec.accuracy_percent
-    return row
-
-
-def _run_benchmark(cfg):
-    matrix = cfg["matrix"]
-    file_phi = load_matrix(matrix["file"]) if "file" in matrix else None
-    rows = []
-    for trial in range(cfg["trials"]):
-        if file_phi is not None:
-            phi, layout = file_phi, None
-        else:
-            spec = EnsembleSpec(
-                matrix["kind"],
-                d=matrix["d"],
-                n=matrix["n"],
-                seed=derive_seed(cfg["seed"], 0, trial),
-                gaussian_rows=matrix["gaussian_rows"],
-                signed=matrix["signed"],
-            )
-            phi, layout = generate(spec), block_layout(spec)
-        for s_idx, selector in enumerate(cfg["selectors"]):
-            for m_idx, m in enumerate(cfg["budgets"]):
-                rows.append(_benchmark_cell(cfg, phi, layout, trial, s_idx, selector, m_idx, m))
-    return rows
-
-
-def _csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, list):
-        return ";".join(str(v) for v in value)
-    return value
-
-
-def _mean_std(values):
-    present = [v for v in values if v is not None]
-    if not present:
-        return {"mean": None, "std": None, "count": 0}
-    arr = np.asarray(present, dtype=float)
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return {"mean": float(arr.mean()), "std": std, "count": int(arr.size)}
-
-
-def _summarize(cfg, rows):
-    cells = []
-    for selector in cfg["selectors"]:
-        for m in cfg["budgets"]:
-            group = [r for r in rows if r["selector"] == selector["name"] and r["m"] == m]
-            cell = {
-                "selector": selector["name"],
-                "m": m,
-                "trials": len(group),
-                "failures": sum(1 for r in group if r["error"] is not None),
-            }
-            for column in _SUMMARY_COLUMNS:
-                cell[column] = _mean_std([r[column] for r in group])
-            cell["bp_accuracy"] = {
-                str(k): _mean_std([r[f"bp_acc_k{k}"] for r in group]) for k in cfg["sparsities"]
-            }
-            cells.append(cell)
-    return cells
-
-
-def _write_benchmark_outputs(cfg, rows):
-    os.makedirs(cfg["output_dir"], exist_ok=True)
-    columns = ["trial", "selector", "m"] + list(_SUMMARY_COLUMNS[:-1])
-    columns += [f"bp_acc_k{k}" for k in cfg["sparsities"]]
-    columns += ["time_s", "subset", "error"]
-    paths = {"csv": None, "json": None}
-    if "csv" in cfg["formats"]:
-        path = os.path.join(cfg["output_dir"], "results.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("# " + json.dumps(cfg, sort_keys=True) + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_csv_cell(row[c]) for c in columns])
-        paths["csv"] = path
-    if "json" in cfg["formats"]:
-        path = os.path.join(cfg["output_dir"], "summary.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"config": cfg, "cells": _summarize(cfg, rows)},
-                fh,
-                indent=2,
-                sort_keys=True,
-                default=_json_default,
-            )
-            fh.write("\n")
-        paths["json"] = path
-    return paths
-
-
 def cmd_benchmark(args):
     with open(args.config, encoding="utf-8") as fh:
         raw = json.load(fh)
-    cfg = _resolve_benchmark_config(raw, os.path.dirname(os.path.abspath(args.config)), args)
-    rows = _run_benchmark(cfg)
-    paths = _write_benchmark_outputs(cfg, rows)
+    base_dir = os.path.dirname(os.path.abspath(args.config))
+    fallback_dir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
+    cfg = resolve_config(raw, base_dir, fallback_dir)
+    rows = run_benchmark(cfg)
+    paths = write_outputs(cfg, rows)
     _dump({"cells": len(rows), "csv": paths["csv"], "json": paths["json"]})
     return 0
 
@@ -561,12 +273,12 @@ def build_parser():
     p = sub.add_parser("select", help="run a selector and write the chosen rows as JSON")
     _add_source_flags(p)
     p.add_argument("--m", type=_positive_int, required=True, help="number of rows to keep")
-    p.add_argument("--method", choices=METHODS, default="insense")
+    p.add_argument("--method", choices=tuple(SELECTORS), default="insense")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=_positive_int, default=1)
     p.add_argument("--max-iters", type=_positive_int, default=5000)
     p.add_argument("--init", choices=("uniform", "uniform-plus-jitter"), default="uniform")
-    p.add_argument("--exhaustive-limit", type=_positive_int, default=_DEFAULT_LIMIT)
+    p.add_argument("--exhaustive-limit", type=_positive_int, default=EXHAUSTIVE_LIMIT)
     p.add_argument("--out", help="output JSON path (default: selection.json in the output dir)")
     p.add_argument("--outdir", help=f"output directory (default: ${OUTDIR_ENV} or '.')")
     p.set_defaults(func=cmd_select)

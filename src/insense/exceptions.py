@@ -9,16 +9,8 @@ class InvalidSubsetError(InsenseError, ValueError):
     """Sensor subset is malformed, out of range, or not strictly increasing."""
 
 
-class InvalidPairError(InsenseError, ValueError):
-    """Column pair is malformed (i == j, or an index out of range)."""
-
-
 class InfeasibleConstraintError(InsenseError, ValueError):
     """Row budget defines an empty feasible set (m <= 0 or m > d)."""
-
-
-class DegenerateProjectionError(InsenseError):
-    """Every coordinate clamped yet the budget was missed (strict mode only)."""
 
 
 class ExhaustiveLimitError(InsenseError):

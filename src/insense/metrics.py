@@ -10,7 +10,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .exceptions import InfeasibleConstraintError, InvalidPairError, InvalidSubsetError
+from .exceptions import InfeasibleConstraintError, InvalidSubsetError
 
 # A column (or singular value) at or below this fraction of the largest one
 # counts as zero, which flips the affected metric to undefined.
@@ -65,34 +65,10 @@ def extract_submatrix(phi, indices):
     return phi[idx].copy()
 
 
-def _column_norms(phi):
-    norms = np.linalg.norm(phi, axis=0)
-    zero = norms <= ZERO_RTOL * norms.max()
-    return norms, zero
-
-
-def pairwise_coherence(phi, i, j):
-    """Normalized absolute inner product of columns i and j, in [0, 1].
-
-    Returns None when either column is numerically zero.
-    """
-    phi = as_sensing_matrix(phi)
-    n = phi.shape[1]
-    if i == j:
-        raise InvalidPairError(f"need two distinct columns, got i = j = {i}")
-    if not (0 <= i < n and 0 <= j < n):
-        raise InvalidPairError(f"column pair ({i}, {j}) out of range for n={n}")
-    norms, zero = _column_norms(phi)
-    if zero[i] or zero[j]:
-        return None
-    c = abs(float(phi[:, i] @ phi[:, j])) / (norms[i] * norms[j])
-    return min(c, 1.0)
-
-
 def _coherence_values(phi):
     """Upper-triangle column coherences as a flat array, or None if undefined."""
-    norms, zero = _column_norms(phi)
-    if zero.any():
+    norms = np.linalg.norm(phi, axis=0)
+    if np.any(norms <= ZERO_RTOL * norms.max()):
         return None
     unit = phi / norms
     gram = unit.T @ unit

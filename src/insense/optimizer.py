@@ -21,6 +21,7 @@ candidates by their average column coherence closes that relaxation gap.
 import numpy as np
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 from .exceptions import NumericalFailureError
 from .metrics import as_sensing_matrix, mu_avg, validate_budget
@@ -58,8 +59,8 @@ class InsenseConfig:
             raise ValueError(f"need 0 < eps2 < eps1 < 1, got {self.eps1}, {self.eps2}")
         if self.rel_tol <= 0.0:
             raise ValueError("rel_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not isinstance(self.max_iters, Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not 0.0 < self.ls_shrink < 1.0:
             raise ValueError("ls_shrink must lie in (0, 1)")
         if self.ls_init_step <= 0.0:
@@ -68,8 +69,8 @@ class InsenseConfig:
             raise ValueError(f"init must be one of {_INIT_MODES}, got {self.init!r}")
         if self.jitter_scale < 0.0:
             raise ValueError("jitter_scale must be non-negative")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+        if not isinstance(self.restarts, Integral) or self.restarts < 1:
+            raise ValueError(f"restarts must be an integer >= 1, got {self.restarts!r}")
 
 
 @dataclass

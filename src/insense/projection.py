@@ -16,7 +16,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .exceptions import DegenerateProjectionError, InfeasibleConstraintError
+from .exceptions import InfeasibleConstraintError
 
 SUM_TOL = 1e-8  # allowed |sum(z) - m| on output
 BOX_TOL = 1e-10  # allowed box violation on output
@@ -63,7 +63,7 @@ def _bisect_multiplier(y, m, steps=_BISECT_STEPS):
     return 0.5 * (lo + hi)
 
 
-def project_sbs(y, m, strict=False):
+def project_sbs(y, m):
     """Project `y` onto {z : sum(z) = m, 0 <= z <= 1}.
 
     Parameters
@@ -72,9 +72,6 @@ def project_sbs(y, m, strict=False):
         Finite point to project.
     m : float
         Budget, 0 < m <= d.  Non-integer budgets are accepted.
-    strict : bool
-        When rounding clamps every coordinate but misses the budget, raise
-        DegenerateProjectionError instead of falling back to bisection.
 
     Returns
     -------
@@ -126,10 +123,6 @@ def project_sbs(y, m, strict=False):
         # vertex solution; any multiplier separating the two blocks is valid
         lam = 0.5 * ((1.0 - ys[d - k1]) + (-ys[k0 - 1]))
     else:
-        if strict:
-            raise DegenerateProjectionError(
-                f"all {d} coordinates clamped but sum {k1} != budget {m}"
-            )
         lam = _bisect_multiplier(y, m)
         z_sorted = np.clip(ys + lam, 0.0, 1.0)
 

@@ -1,4 +1,4 @@
-"""Baseline selectors against independent reimplementations."""
+"""Baseline selectors against independent reimplementations, and the registry."""
 
 import itertools
 import math
@@ -7,17 +7,19 @@ import numpy as np
 import pytest
 
 from insense import (
-    BaselineConfig,
     EnsembleSpec,
     ExhaustiveLimitError,
+    InsenseConfig,
+    InsenseError,
     frame_potential,
     generate,
     mu_avg,
-    select_baseline,
+    run_insense,
     select_exhaustive_mu_avg,
     select_fp_greedy,
     select_random,
 )
+from insense.experiment import SELECTORS, configure
 
 
 def _greedy_loop(phi, m):
@@ -106,20 +108,36 @@ def test_exhaustive_refuses_oversized_enumerations():
 def test_dispatch_matches_direct_calls():
     rng = np.random.default_rng(4)
     phi = rng.standard_normal((8, 4))
+
+    def registry(method, seed=0, **options):
+        return SELECTORS[method].run(phi, 3, seed, configure(method, options))
+
+    np.testing.assert_array_equal(registry("random", seed=7)[0], select_random(phi, 3, seed=7))
+    np.testing.assert_array_equal(registry("fp-greedy")[0], select_fp_greedy(phi, 3))
     np.testing.assert_array_equal(
-        select_baseline(phi, 3, BaselineConfig(method="random", seed=7)),
-        select_random(phi, 3, seed=7),
+        registry("exhaustive-mu-avg")[0], select_exhaustive_mu_avg(phi, 3)
     )
-    np.testing.assert_array_equal(
-        select_baseline(phi, 3, BaselineConfig(method="fp-greedy")),
-        select_fp_greedy(phi, 3),
-    )
-    np.testing.assert_array_equal(
-        select_baseline(phi, 3, BaselineConfig(method="exhaustive-mu-avg")),
-        select_exhaustive_mu_avg(phi, 3),
-    )
+    assert all(registry(m)[1] is None for m in ("random", "fp-greedy", "exhaustive-mu-avg"))
+    with pytest.raises(ExhaustiveLimitError):
+        registry("exhaustive-mu-avg", exhaustive_limit=10)
+    subset, result = registry("insense", seed=7, max_iters=20)
+    direct = run_insense(phi, 3, InsenseConfig(seed=7, max_iters=20))
+    np.testing.assert_array_equal(subset, direct.subset)
+    np.testing.assert_array_equal(result.final_weights, direct.final_weights)
 
 
 def test_config_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        BaselineConfig(method="genetic")
+    assert set(SELECTORS) == {"insense", "random", "fp-greedy", "exhaustive-mu-avg"}
+    for method in ("genetic", ["random"], None):
+        with pytest.raises(InsenseError, match="unknown selector method"):
+            configure(method, {})
+    with pytest.raises(InsenseError, match="unknown options"):
+        configure("fp-greedy", {"exhaustive_limit": 5})
+    for method, options in (
+        ("insense", {"max_iters": 0}),
+        ("insense", {"init": "zeros"}),
+        ("exhaustive-mu-avg", {"exhaustive_limit": "abc"}),
+        ("exhaustive-mu-avg", {"exhaustive_limit": 0}),
+    ):
+        with pytest.raises(InsenseError, match="bad options"):
+            configure(method, options)

@@ -6,12 +6,18 @@ SystemExit), runtime failures with 1 (returned), and successes with 0.
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from insense import load_matrix, save_matrix
+import insense
+from insense import experiment, load_matrix, save_matrix
 from insense.cli import main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(insense.__file__)))
 
 
 def _run(capsys, argv):
@@ -109,6 +115,25 @@ def test_select_random_is_reproducible(capsys, tmp_path):
     assert first["weights"] is None
 
 
+def test_selected_subset_does_not_depend_on_blas_threads(tmp_path):
+    # final_weights may differ in the last bits between thread counts
+    # (BLAS reduction order); the chosen rows must not
+    subsets = []
+    for threads in ("1", "2"):
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        out = tmp_path / f"selection_{threads}.json"
+        subprocess.run(
+            [sys.executable, "-m", "insense.cli", "select", "--ensemble", "uniform-gaussian",
+             "--d", "400", "--n", "300", "--m", "12", "--max-iters", "200", "--out", str(out)],
+            env=env, check=True, stdout=subprocess.DEVNULL, timeout=300,
+        )
+        subsets.append(json.loads(out.read_text())["indices"])
+    assert subsets[0] == subsets[1]
+
+
 def test_recover_square_system_is_perfect(capsys):
     code, payload = _run(
         capsys,
@@ -184,6 +209,24 @@ def _benchmark_config(output_dir, matrix=None):
     }
 
 
+# (trial, selector, m, subset, bp_acc_k1) of _benchmark_config("..."),
+# recorded before the engine moved out of the CLI into insense.experiment
+_PINNED_ROWS = [
+    ("0", "ins", "4", "1;6;10;11", "100.0"),
+    ("0", "ins", "6", "0;1;6;7;10;11", "100.0"),
+    ("0", "random", "4", "1;4;9;11", "100.0"),
+    ("0", "random", "6", "0;4;8;9;10;11", "100.0"),
+    ("0", "fp-greedy", "4", "4;6;10;11", "100.0"),
+    ("0", "fp-greedy", "6", "0;1;4;6;10;11", "100.0"),
+    ("1", "ins", "4", "0;1;2;3", "100.0"),
+    ("1", "ins", "6", "0;3;4;7;9;10", "100.0"),
+    ("1", "random", "4", "4;6;7;11", "100.0"),
+    ("1", "random", "6", "2;5;6;7;8;11", "100.0"),
+    ("1", "fp-greedy", "4", "0;7;8;9", "100.0"),
+    ("1", "fp-greedy", "6", "0;3;7;8;9;10", "100.0"),
+]
+
+
 def _read_results(path, drop_time=True):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# ")
@@ -210,6 +253,8 @@ def test_benchmark_outputs_and_reproducibility(capsys, tmp_path):
     assert rows_a == rows_b  # identical runs modulo wall-clock
     assert len(rows_a) == 12
     assert all(row[header_a.index("error")] == "" for row in rows_a)
+    picked = [header_a.index(c) for c in ("trial", "selector", "m", "subset", "bp_acc_k1")]
+    assert [tuple(row[i] for i in picked) for row in rows_a] == _PINNED_ROWS
 
     summary = json.loads((tmp_path / "out_a" / "summary.json").read_text())
     cells = summary["cells"]
@@ -225,6 +270,26 @@ def test_benchmark_outputs_and_reproducibility(capsys, tmp_path):
         return [{k: v for k, v in c.items() if k != "time_s"} for c in cells]
 
     assert strip_volatile(cells) == strip_volatile(summary_b["cells"])
+
+
+def test_experiment_api_rows_match_cli_csv(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_benchmark_config("out")))
+    code, _ = _run(capsys, ["benchmark", "--config", str(cfg_path)])
+    assert code == 0
+    header, cli_rows = _read_results(tmp_path / "out" / "results.csv")
+
+    cfg = experiment.resolve_config(_benchmark_config("unused"), str(tmp_path))
+    assert cfg["output_dir"] == str(tmp_path / "unused")
+    rows = experiment.run_benchmark(cfg)
+    assert not (tmp_path / "unused").exists()  # running writes nothing
+
+    def cell(value):
+        if value is None:
+            return ""
+        return ";".join(map(str, value)) if isinstance(value, list) else str(value)
+
+    assert [[cell(row[c]) for c in header] for row in rows] == cli_rows
 
 
 def test_benchmark_reads_matrix_file_relative_to_config(capsys, tmp_path):
@@ -249,16 +314,38 @@ def test_benchmark_config_errors_exit_1(capsys, tmp_path):
     variants.append(broken)
     variants.append(dict(base, matrix={"kind": "gaussian", "file": "x.csv"}))
     variants.append(dict(base, selectors=[{"method": "warp"}]))
+    variants.append(dict(base, selectors=[{"method": ["insense"]}]))
     variants.append(dict(base, selectors=[{"method": "random", "seed": 1}]))
     # ls_c was an InsenseConfig field that nothing read; it is gone
     variants.append(dict(base, selectors=[{"method": "insense", "ls_c": 1e-4}]))
+    # option values are checked before any cell runs
+    variants.append(dict(base, selectors=[{"method": "insense", "max_iters": 0}]))
+    variants.append(dict(base, selectors=[{"method": "insense", "max_iters": 2.5}]))
+    variants.append(dict(base, selectors=[{"method": "insense", "init": "zeros"}]))
+    variants.append(
+        dict(base, selectors=[{"method": "exhaustive-mu-avg", "exhaustive_limit": "abc"}])
+    )
+    variants.append(dict(base, selectors=[{"method": "random", "name": ["a"]}]))
     variants.append(
         dict(base, selectors=[{"method": "random", "name": "r"},
                               {"method": "fp-greedy", "name": "r"}])
     )
     variants.append(dict(base, budgets=[]))
+    variants.append(dict(base, budgets=[4, 4]))
+    variants.append(dict(base, budgets=[4.5]))  # was truncated to 4
+    variants.append(dict(base, matrix={"kind": "bernoulli01", "d": 12, "n": 8,
+                                       "signed": "false"}))  # was read as true
+    variants.append(dict(base, sparsities=[1, 1]))
+    variants.append(dict(base, trials=[2]))
+    variants.append(dict(base, sample_cap=0))
+    variants.append(dict(base, formats=5))
+    variants.append(dict(base, output_dir=5))
     for i, cfg in enumerate(variants):
         path = tmp_path / f"bad_{i}.json"
         path.write_text(json.dumps(cfg))
-        code, _ = _run(capsys, ["benchmark", "--config", str(path)])
+        capsys.readouterr()
+        code = main(["benchmark", "--config", str(path)])
+        err = capsys.readouterr().err
         assert code == 1, f"variant {i} should fail"
+        assert err.startswith("error: "), f"variant {i}: {err!r}"
+        assert not (tmp_path / "out").exists(), f"variant {i} ran cells"

@@ -7,7 +7,6 @@ import pytest
 
 from insense import (
     InfeasibleConstraintError,
-    InvalidPairError,
     InvalidSubsetError,
     condition_number,
     extract_submatrix,
@@ -15,7 +14,6 @@ from insense import (
     metric_report,
     mu_avg,
     mu_max,
-    pairwise_coherence,
 )
 from insense.metrics import as_sensing_matrix, validate_budget, validate_subset
 
@@ -44,7 +42,6 @@ def test_identity_is_perfectly_incoherent():
 def test_hand_value_two_by_two():
     # columns (1,0) and (1,1): coherence 1/sqrt(2); rows (1,1),(0,1): FP 1
     phi = np.array([[1.0, 1.0], [0.0, 1.0]])
-    assert pairwise_coherence(phi, 0, 1) == pytest.approx(1.0 / math.sqrt(2))
     assert mu_avg(phi) == pytest.approx(1.0 / math.sqrt(2))
     assert mu_max(phi) == pytest.approx(1.0 / math.sqrt(2))
     assert frame_potential(phi) == pytest.approx(1.0)
@@ -55,7 +52,7 @@ def test_hand_value_two_by_two():
 
 def test_parallel_columns_cap_at_one():
     phi = np.array([[1.0, 2.0], [2.0, 4.0], [-1.0, -2.0]])
-    assert pairwise_coherence(phi, 0, 1) == pytest.approx(1.0)
+    assert mu_avg(phi) == pytest.approx(1.0)
     assert mu_max(phi) == pytest.approx(1.0)
 
 
@@ -78,9 +75,9 @@ def test_zero_column_undefines_coherence():
     phi = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 1.0]])
     assert mu_avg(phi) is None
     assert mu_max(phi) is None
-    assert pairwise_coherence(phi, 0, 1) is None
+    assert mu_max(phi[:, [0, 1]]) is None
     # the unaffected pair still has a value
-    assert pairwise_coherence(phi, 0, 2) is not None
+    assert mu_avg(phi[:, [0, 2]]) is not None and mu_max(phi[:, [0, 2]]) is not None
     report = metric_report(phi)
     assert report.mu_avg is None and report.mu_max is None
     assert report.frame_potential == pytest.approx(frame_potential(phi))
@@ -128,14 +125,6 @@ def test_budget_validation_errors():
     for bad in (0, -2, 6, 2.5):
         with pytest.raises(InfeasibleConstraintError):
             validate_budget(bad, 5)
-
-
-def test_pair_validation_errors():
-    phi = np.eye(3)
-    with pytest.raises(InvalidPairError):
-        pairwise_coherence(phi, 1, 1)
-    with pytest.raises(InvalidPairError):
-        pairwise_coherence(phi, 0, 3)
 
 
 def test_matrix_validation_errors():

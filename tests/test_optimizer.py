@@ -177,6 +177,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         InsenseConfig(max_iters=0)
     with pytest.raises(ValueError):
+        InsenseConfig(max_iters=2.5)
+    with pytest.raises(ValueError):
         InsenseConfig(ls_shrink=1.0)
     with pytest.raises(ValueError):
         InsenseConfig(ls_init_step=0.0)
@@ -186,6 +188,8 @@ def test_config_validation():
         InsenseConfig(jitter_scale=-0.1)
     with pytest.raises(ValueError):
         InsenseConfig(restarts=0)
+    with pytest.raises(ValueError):
+        InsenseConfig(restarts=1.5)
 
 
 def test_input_validation():
