@@ -190,6 +190,7 @@ def cmd_select(args):
         "iterations": None if result is None else int(result.iterations),
         "converged": None if result is None else bool(result.converged),
         "subset_iteration": None if result is None else int(result.subset_iteration),
+        "objective_evals": None if result is None else int(result.objective_evals),
         "subset_mu_avg": None if result is None or result.subset_mu_avg is None
         else float(result.subset_mu_avg),
         "time_s": elapsed,

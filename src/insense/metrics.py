@@ -76,22 +76,22 @@ def _coherence_values(phi):
     return np.minimum(np.abs(gram[iu]), 1.0)
 
 
+def _rms(c):
+    return None if c is None else float(np.sqrt(np.mean(c**2)))
+
+
+def _largest(c):
+    return None if c is None else float(np.max(c))
+
+
 def mu_avg(phi):
     """Root-mean-square coherence over all column pairs, or None if any column is zero."""
-    phi = as_sensing_matrix(phi)
-    c = _coherence_values(phi)
-    if c is None:
-        return None
-    return float(np.sqrt(np.mean(c**2)))
+    return _rms(_coherence_values(as_sensing_matrix(phi)))
 
 
 def mu_max(phi):
     """Largest pairwise column coherence, or None if any column is zero."""
-    phi = as_sensing_matrix(phi)
-    c = _coherence_values(phi)
-    if c is None:
-        return None
-    return float(np.max(c))
+    return _largest(_coherence_values(as_sensing_matrix(phi)))
 
 
 def frame_potential(phi):
@@ -125,9 +125,10 @@ class MetricReport:
 def metric_report(phi):
     """All four quality metrics of `phi` in one report."""
     phi = as_sensing_matrix(phi)
+    coherences = _coherence_values(phi)  # one Gram for both coherence metrics
     return MetricReport(
-        mu_avg=mu_avg(phi),
-        mu_max=mu_max(phi),
+        mu_avg=_rms(coherences),
+        mu_max=_largest(coherences),
         frame_potential=frame_potential(phi),
         condition_number=condition_number(phi),
     )

@@ -90,7 +90,9 @@ class SelectionResult:
     final_weights, final_objective, and objective_trace describe the end
     of the descent itself.  converged is True when the run stopped on the
     relative-change tolerance (or could no longer descend) rather than on
-    the iteration cap.
+    the iteration cap.  objective_evals counts the objective evaluations
+    of the whole call, rejected line-search candidates and every restart
+    included: the work done, one Gram matrix each.
     """
 
     subset: np.ndarray
@@ -101,11 +103,23 @@ class SelectionResult:
     converged: bool = True
     subset_iteration: int = 0
     subset_mu_avg: float | None = None
+    objective_evals: int = 0
 
 
 def gram_matrix(phi, z):
-    """Weighted column Gram matrix phi.T @ diag(z) @ phi, symmetrized."""
-    g = phi.T @ (np.asarray(z, dtype=float)[:, None] * phi)
+    """Weighted column Gram matrix phi.T @ diag(z) @ phi, symmetrized.
+
+    Only the rows with a nonzero weight enter the product, so one call
+    costs O(nnz(z) n^2) rather than O(d n^2); the projected weights of a
+    descent are mostly exact zeros.  Any finite z gives the value of the
+    dense formula, up to summation order.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.shape != (phi.shape[0],):
+        raise ValueError(f"weights need shape ({phi.shape[0]},), got {z.shape}")
+    rows = np.flatnonzero(z)
+    support = phi[rows]
+    g = support.T @ (z[rows, None] * support)
     return 0.5 * (g + g.T)
 
 
@@ -179,11 +193,12 @@ def _run_single(phi, m, cfg, rng, callback=None):
     if not np.isfinite(f):
         raise NumericalFailureError("objective non-finite at the initial point", iteration=0)
     trace = [f]
+    evals = 1
     converged = False
     iterations = 0
     # best rounded candidate so far: (score, iteration, subset)
-    subset = _round_to_subset(z, m)
-    best = (mu_avg(phi[subset]), 0, subset)
+    scored = _round_to_subset(z, m)
+    best = (mu_avg(phi[scored]), 0, scored)
     for iterations in range(1, cfg.max_iters + 1):
         grad = weight_gradient(phi, gram, cfg)
         step = cfg.ls_init_step
@@ -191,6 +206,7 @@ def _run_single(phi, m, cfg, rng, callback=None):
         for _ in range(_MAX_BACKTRACKS):
             cand = project_sbs(z - step * grad, m).z
             f_cand, gram_cand = _objective_at(phi, cand, cfg)
+            evals += 1
             if not np.isfinite(f_cand):
                 raise NumericalFailureError(
                     f"objective became non-finite at iteration {iterations}",
@@ -208,9 +224,11 @@ def _run_single(phi, m, cfg, rng, callback=None):
         z, f, gram = cand, f_cand, gram_cand
         trace.append(f)
         subset = _round_to_subset(z, m)
-        score = mu_avg(phi[subset])
-        if score is not None and (best[0] is None or score < best[0]):
-            best = (score, iterations, subset)
+        # a repeated rounding repeats its score, which cannot beat best
+        if not np.array_equal(subset, scored):
+            scored, score = subset, mu_avg(phi[subset])
+            if score is not None and (best[0] is None or score < best[0]):
+                best = (score, iterations, subset)
         if callback is not None:
             callback(iterations, z, f)
         if rel_change < cfg.rel_tol:
@@ -229,6 +247,7 @@ def _run_single(phi, m, cfg, rng, callback=None):
         converged=converged,
         subset_iteration=subset_iteration,
         subset_mu_avg=score,
+        objective_evals=evals,
     )
 
 
@@ -266,14 +285,17 @@ def run_insense(phi, m, cfg=None, callback=None):
     m = validate_budget(m, phi.shape[0])
     best = None
     best_key = None
+    evals = 0
     for r in range(cfg.restarts):
         rng = seeded_rng(cfg.seed, r)
         run_cfg = cfg if r == 0 else replace(cfg, init="uniform-plus-jitter")
         result = _run_single(phi, m, run_cfg, rng, callback=callback)
+        evals += result.objective_evals
         if result.subset_mu_avg is not None:
             key = (0, result.subset_mu_avg)
         else:
             key = (1, result.final_objective)
         if best is None or key < best_key:
             best, best_key = result, key
+    best.objective_evals = evals
     return best

@@ -83,6 +83,8 @@ def test_select_metrics_recover_round_trip(capsys, tmp_path):
     assert len(payload["indices"]) == 3
     assert payload["indices"] == sorted(payload["indices"])
     assert payload["iterations"] >= 1
+    # the start and at least one line-search candidate per iteration
+    assert payload["objective_evals"] > payload["iterations"]
     assert payload["time_s"] >= 0.0
     assert json.loads(selection.read_text())["indices"] == payload["indices"]
 

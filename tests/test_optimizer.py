@@ -2,17 +2,24 @@
 
 The objective and Gram oracles are explicit double loops; the gradient
 oracle is central finite differences of the loop objective, so a shared
-algebra mistake cannot cancel out.
+algebra mistake cannot cancel out.  The support-only Gram and the whole
+descent built on it are also checked against the dense formula over all
+rows.
 """
+
+import collections
 
 import numpy as np
 import pytest
 
+import insense.optimizer as optimizer
 from insense import (
+    EnsembleSpec,
     InfeasibleConstraintError,
     InsenseConfig,
     SelectionResult,
     coherence_objective,
+    generate,
     gram_gradient,
     gram_matrix,
     mu_avg,
@@ -47,10 +54,77 @@ def _fd_gradient(phi, z, cfg, h=1e-6):
 
 def test_gram_matrix_matches_outer_sum():
     rng = np.random.default_rng(3)
-    phi = rng.standard_normal((7, 5))
-    z = rng.uniform(0.0, 1.0, 7)
-    expected = sum(z[k] * np.outer(phi[k], phi[k]) for k in range(7))
-    np.testing.assert_allclose(gram_matrix(phi, z), expected, atol=1e-12)
+    phi = rng.standard_normal((20, 5))
+    mask = rng.uniform(size=20) < 0.3
+    weights = (
+        rng.uniform(0.0, 1.0, 20),  # dense
+        np.where(mask, rng.uniform(size=20), 0.0),  # sparse
+        np.where(mask, rng.uniform(-1.0, 1.0, 20), 0.0),  # negative entries
+    )
+    for z in weights:
+        expected = sum(z[k] * np.outer(phi[k], phi[k]) for k in range(20))
+        np.testing.assert_allclose(gram_matrix(phi, z), expected, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(gram_matrix(phi, np.zeros(20)), np.zeros((5, 5)))
+
+
+def test_gram_matrix_rejects_misshaped_weights():
+    phi = np.ones((6, 3))
+    for z in (np.ones(5), np.ones(7), np.ones((6, 1)), np.float64(1.0)):
+        with pytest.raises(ValueError):
+            gram_matrix(phi, z)
+
+
+def _dense_gram(phi, z):
+    """phi.T @ diag(z) @ phi over every row, zero weights included."""
+    g = phi.T @ (np.asarray(z, dtype=float)[:, None] * phi)
+    return 0.5 * (g + g.T)
+
+
+@pytest.mark.parametrize(
+    "spec, m, cfg",
+    [
+        (EnsembleSpec("uniform-gaussian", d=200, n=200, seed=0, gaussian_rows=10), 10,
+         InsenseConfig(init="uniform-plus-jitter", seed=0)),
+        (EnsembleSpec("identity-gaussian", d=100, n=50, seed=0), 10,
+         InsenseConfig(init="uniform-plus-jitter", restarts=3, seed=0)),
+        (EnsembleSpec("gaussian", d=60, n=60, seed=0), 20, InsenseConfig(seed=0)),
+    ],
+    ids=["uniform-gaussian", "identity-gaussian", "gaussian"],
+)
+def test_descent_matches_dense_gram_reference(monkeypatch, spec, m, cfg):
+    phi = generate(spec)
+    fast = run_insense(phi, m, cfg)
+    monkeypatch.setattr(optimizer, "gram_matrix", _dense_gram)
+    dense = run_insense(phi, m, cfg)
+    np.testing.assert_array_equal(fast.subset, dense.subset)
+    assert fast.subset_iteration == dense.subset_iteration
+    assert fast.iterations == dense.iterations
+    assert fast.objective_evals == dense.objective_evals
+    assert fast.subset_mu_avg == dense.subset_mu_avg
+    np.testing.assert_allclose(fast.objective_trace, dense.objective_trace, rtol=1e-12, atol=0.0)
+
+
+def test_hot_layers_are_called_by_module_name(monkeypatch):
+    # per-layer tracing wraps these module-global names of insense.optimizer
+    calls = collections.Counter()
+    for name in ("gram_matrix", "weight_gradient", "project_sbs", "mu_avg"):
+
+        def counted(*args, _name=name, _fn=getattr(optimizer, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, name, counted)
+    phi = np.random.default_rng(47).standard_normal((20, 8))
+    one = run_insense(phi, 5, InsenseConfig(init="uniform-plus-jitter", seed=3))
+    assert min(calls.values()) > 0 and len(calls) == 4
+    assert calls["gram_matrix"] == one.objective_evals > one.iterations
+    assert calls["weight_gradient"] == one.iterations
+    # one score for the start and at most one per accepted step
+    assert calls["mu_avg"] <= len(one.objective_trace)
+    calls.clear()
+    three = run_insense(phi, 5, InsenseConfig(init="uniform-plus-jitter", seed=3, restarts=3))
+    # the count covers every restart, not only the one reported
+    assert calls["gram_matrix"] == three.objective_evals > one.objective_evals
 
 
 def test_objective_matches_loop_oracle():
