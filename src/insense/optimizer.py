@@ -39,8 +39,11 @@ class InsenseConfig:
 
     eps1/eps2 smooth the objective (eps2 < eps1 << 1).  The run stops when
     the relative objective change drops below rel_tol or after max_iters
-    iterations.  The line search shrinks the step by ls_shrink starting
-    from ls_init_step until the objective stops increasing.
+    iterations.  The line search shrinks a trial step by ls_shrink until
+    the objective stops increasing.  ls_init_step is the first
+    iteration's trial step; every later iteration starts from the
+    Barzilai-Borwein step of the last two iterates, capped at
+    ls_init_step.  Every float setting must be finite.
     """
 
     eps1: float = 1e-9
@@ -55,6 +58,9 @@ class InsenseConfig:
     restarts: int = 1
 
     def __post_init__(self):
+        for name in ("eps1", "eps2", "rel_tol", "ls_shrink", "ls_init_step", "jitter_scale"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0.0 < self.eps2 < self.eps1 < 1.0:
             raise ValueError(f"need 0 < eps2 < eps1 < 1, got {self.eps1}, {self.eps2}")
         if self.rel_tol <= 0.0:
@@ -187,6 +193,22 @@ def _round_to_subset(z, m):
     return np.sort(top)
 
 
+def _bb_step(dz, dg, last, cap):
+    """First trial step of a line search: the Barzilai-Borwein step.
+
+    dz and dg are the changes of the weights and of the gradient over the
+    last accepted step; their BB1 ratio dz.dz / dz.dg is capped at `cap`.
+    Without positive curvature along dz, or with a non-finite ratio, the
+    search starts from `last`, the last accepted step.
+    """
+    curvature = float(dz @ dg)
+    if curvature > 0.0:
+        step = float(dz @ dz) / curvature
+        if np.isfinite(step):
+            return min(step, cap)
+    return last
+
+
 def _run_single(phi, m, cfg, rng, callback=None):
     z = _initial_weights(phi.shape[0], m, cfg, rng)
     f, gram = _objective_at(phi, z, cfg)
@@ -199,9 +221,11 @@ def _run_single(phi, m, cfg, rng, callback=None):
     # best rounded candidate so far: (score, iteration, subset)
     scored = _round_to_subset(z, m)
     best = (mu_avg(phi[scored]), 0, scored)
+    step = cfg.ls_init_step
     for iterations in range(1, cfg.max_iters + 1):
         grad = weight_gradient(phi, gram, cfg)
-        step = cfg.ls_init_step
+        if iterations > 1:
+            step = _bb_step(z - z_prev, grad - grad_prev, step, cfg.ls_init_step)
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             cand = project_sbs(z - step * grad, m).z
@@ -221,6 +245,7 @@ def _run_single(phi, m, cfg, rng, callback=None):
             converged = True
             break
         rel_change = abs(f_cand - f) / max(abs(f), _REL_FLOOR)
+        z_prev, grad_prev = z, grad
         z, f, gram = cand, f_cand, gram_cand
         trace.append(f)
         subset = _round_to_subset(z, m)

@@ -324,6 +324,9 @@ def test_benchmark_config_errors_exit_1(capsys, tmp_path):
     variants.append(dict(base, selectors=[{"method": "insense", "max_iters": 0}]))
     variants.append(dict(base, selectors=[{"method": "insense", "max_iters": 2.5}]))
     variants.append(dict(base, selectors=[{"method": "insense", "init": "zeros"}]))
+    # json writes and reads these as NaN and Infinity
+    variants.append(dict(base, selectors=[{"method": "insense", "rel_tol": float("nan")}]))
+    variants.append(dict(base, selectors=[{"method": "insense", "ls_init_step": float("inf")}]))
     variants.append(
         dict(base, selectors=[{"method": "exhaustive-mu-avg", "exhaustive_limit": "abc"}])
     )

@@ -80,20 +80,32 @@ def _dense_gram(phi, z):
     return 0.5 * (g + g.T)
 
 
+# Each case carries the outcome of the fixed-step line search (every
+# search started at ls_init_step): its objective evaluations, subset and
+# subset iteration.  The Barzilai-Borwein start must keep the subset and
+# at least halve the work.
 @pytest.mark.parametrize(
-    "spec, m, cfg",
+    "spec, m, cfg, fixed_step_evals, subset, subset_iteration",
     [
         (EnsembleSpec("uniform-gaussian", d=200, n=200, seed=0, gaussian_rows=10), 10,
-         InsenseConfig(init="uniform-plus-jitter", seed=0)),
+         InsenseConfig(init="uniform-plus-jitter", seed=0), 429, list(range(10)), 1),
         (EnsembleSpec("identity-gaussian", d=100, n=50, seed=0), 10,
-         InsenseConfig(init="uniform-plus-jitter", restarts=3, seed=0)),
-        (EnsembleSpec("gaussian", d=60, n=60, seed=0), 20, InsenseConfig(seed=0)),
+         InsenseConfig(init="uniform-plus-jitter", restarts=3, seed=0), 3444,
+         [52, 66, 67, 70, 72, 79, 80, 93, 97, 99], 3),
+        (EnsembleSpec("gaussian", d=60, n=60, seed=0), 20, InsenseConfig(seed=0), 46,
+         [0, 2, 5, 6, 9, 12, 20, 24, 29, 34, 37, 38, 40, 41, 43, 45, 46, 48, 53, 58], 1),
     ],
     ids=["uniform-gaussian", "identity-gaussian", "gaussian"],
 )
-def test_descent_matches_dense_gram_reference(monkeypatch, spec, m, cfg):
+def test_descent_matches_dense_gram_reference(
+    monkeypatch, spec, m, cfg, fixed_step_evals, subset, subset_iteration
+):
     phi = generate(spec)
     fast = run_insense(phi, m, cfg)
+    assert fast.subset.tolist() == subset
+    assert fast.subset_iteration == subset_iteration
+    assert fast.objective_evals <= fixed_step_evals // 2
+    assert np.all(np.diff(fast.objective_trace) <= 0.0)
     monkeypatch.setattr(optimizer, "gram_matrix", _dense_gram)
     dense = run_insense(phi, m, cfg)
     np.testing.assert_array_equal(fast.subset, dense.subset)
@@ -125,6 +137,42 @@ def test_hot_layers_are_called_by_module_name(monkeypatch):
     three = run_insense(phi, 5, InsenseConfig(init="uniform-plus-jitter", seed=3, restarts=3))
     # the count covers every restart, not only the one reported
     assert calls["gram_matrix"] == three.objective_evals > one.objective_evals
+
+
+def test_bb_step_branches():
+    dz = np.array([1.0, 0.0])
+    # positive curvature: the ratio dz.dz / dz.dg
+    assert optimizer._bb_step(dz, np.array([4.0, 1.0]), 0.3, 1.0) == 0.25
+    # a ratio above the cap gives the cap
+    assert optimizer._bb_step(dz, np.array([0.5, 0.0]), 0.3, 1.0) == 1.0
+    # no positive curvature: the last accepted step
+    assert optimizer._bb_step(dz, np.array([0.0, 2.0]), 0.3, 1.0) == 0.3
+    assert optimizer._bb_step(dz, np.array([-1.0, 0.0]), 0.3, 1.0) == 0.3
+    # a non-finite ratio: the last accepted step
+    assert optimizer._bb_step(np.array([1e154, 0.0]), np.array([1e-160, 0.0]), 0.3, 1.0) == 0.3
+    assert optimizer._bb_step(np.array([np.inf, 1.0]), np.array([1.0, 1.0]), 0.3, 1.0) == 0.3
+    assert optimizer._bb_step(dz, np.array([np.nan, 0.0]), 0.3, 1.0) == 0.3
+
+
+@pytest.mark.parametrize(
+    "ensemble, cfg, fixed_step_mean",
+    [
+        (dict(kind="uniform-gaussian", d=200, n=200, gaussian_rows=10),
+         dict(init="uniform-plus-jitter"), 0.3166013795066921),
+        (dict(kind="identity-gaussian", d=100, n=50),
+         dict(init="uniform-plus-jitter", restarts=3), 0.3059926554990031),
+    ],
+    ids=["uniform-gaussian", "identity-gaussian"],
+)
+def test_subset_quality_holds_against_fixed_step_search(ensemble, cfg, fixed_step_mean):
+    # fixed_step_mean: the mean subset mu_avg over seeds 0-9 (m=10) when
+    # every line search started at ls_init_step
+    scores = [
+        run_insense(generate(EnsembleSpec(**ensemble, seed=seed)), 10,
+                    InsenseConfig(seed=seed, **cfg)).subset_mu_avg
+        for seed in range(10)
+    ]
+    assert np.mean(scores) == pytest.approx(fixed_step_mean, rel=5e-3)
 
 
 def test_objective_matches_loop_oracle():
@@ -264,6 +312,11 @@ def test_config_validation():
         InsenseConfig(restarts=0)
     with pytest.raises(ValueError):
         InsenseConfig(restarts=1.5)
+    # JSON configs can carry NaN and Infinity
+    for name in ("eps1", "eps2", "rel_tol", "ls_shrink", "ls_init_step", "jitter_scale"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=name):
+                InsenseConfig(**{name: value})
 
 
 def test_input_validation():
