@@ -209,6 +209,22 @@ def _bb_step(dz, dg, last, cap):
     return last
 
 
+def _unit_rms_scale(phi):
+    """phi times the power of four that puts its RMS entry in [0.5, 2).
+
+    The smoothing constants eps1/eps2 are absolute, so the descent only
+    behaves the same at every input scale when it always sees the matrix
+    at one scale.  Scaling by a power of two is exact, and a matrix
+    already in the band is returned unchanged.
+    """
+    peak = np.max(np.abs(phi))
+    if peak == 0.0:
+        return phi
+    rms = peak * np.sqrt(np.mean((phi / peak) ** 2))
+    exponent = 2 * (int(np.frexp(rms)[1]) // 2)
+    return np.ldexp(phi, -exponent) if exponent else phi
+
+
 def _run_single(phi, m, cfg, rng, callback=None):
     z = _initial_weights(phi.shape[0], m, cfg, rng)
     f, gram = _objective_at(phi, z, cfg)
@@ -297,6 +313,9 @@ def run_insense(phi, m, cfg=None, callback=None):
 
     Notes
     -----
+    The descent runs on phi scaled by the power of two that puts its RMS
+    entry in [0.5, 2), so the selection does not depend on the scale of
+    phi; objective values and traces are those of the scaled matrix.
     With restarts > 1, restart 0 uses cfg.init and every later restart
     uses a jittered start (identical uniform restarts would be no-ops);
     restart r draws from the seeded stream (cfg.seed, r).  Restarts are
@@ -306,7 +325,7 @@ def run_insense(phi, m, cfg=None, callback=None):
     objective wins.
     """
     cfg = cfg or InsenseConfig()
-    phi = as_sensing_matrix(phi)
+    phi = _unit_rms_scale(as_sensing_matrix(phi))
     m = validate_budget(m, phi.shape[0])
     best = None
     best_key = None

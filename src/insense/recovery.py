@@ -8,10 +8,15 @@ k-sparse signal on every size-k support (or a seeded sample of them when
 there are too many), measure it through the selected rows, and count the
 supports that basis pursuit reproduces exactly.
 
-Every trial of a sweep shares the constraint matrix and only the
-measurement changes, so a sweep builds one HiGHS model and re-solves it
-with new row bounds per trial, in support order: each solve is a dual
-simplex run warm-started from the basis the previous trial ended in, and
+Before any LP, a sweep screens all of its supports at once with the
+Fuchs certificate (IEEE TIT 2004): when w = A_S (A_S'A_S)^-1 1 keeps
+|a_l' w| < 1 off the support, 1_S is the unique basis pursuit solution,
+and the trial counts as exact without an LP (its residual and error are
+reported as 0.0; RecoveryReport.certified counts these trials).  The
+remaining trials share the constraint matrix and only the measurement
+changes, so a sweep builds one HiGHS model and re-solves it with new row
+bounds per trial, in support order: each solve is a dual simplex run
+warm-started from the basis the previous LP trial ended in, and
 BpConfig.max_iters caps the simplex iterations of each such run.
 
 The sweep sees the selected submatrix with its columns scaled to unit
@@ -35,6 +40,13 @@ from scipy.sparse import csc_array
 from .exceptions import SolverFailureError
 from .metrics import as_sensing_matrix, validate_subset
 from .seeding import seeded_rng
+
+# Fuchs pre-screen of a sweep: supports per batched solve, the least
+# eigenvalue ratio of A_S'A_S that is solved at all, and the gap below 1
+# that every off-support correlation must keep
+_CERT_CHUNK = 1024
+_CERT_MIN_EIG_RATIO = 1e-6
+_CERT_MARGIN = 1e-6
 
 
 @dataclass
@@ -75,12 +87,17 @@ class TrialOutcome(NamedTuple):
 
 @dataclass
 class RecoveryReport:
-    """Aggregate sweep outcome; per_trial is filled only on request."""
+    """Aggregate sweep outcome; per_trial is filled only on request.
+
+    certified counts the exact trials decided by the Fuchs certificate
+    without an LP, solver_failures the LP trials whose solve failed.
+    """
 
     total_trials: int
     exact_count: int
     accuracy_percent: float
     sampled: bool
+    certified: int = 0
     solver_failures: int = 0
     per_trial: list[TrialOutcome] | None = None
 
@@ -90,6 +107,7 @@ class RecoveryReport:
             "exact_count": self.exact_count,
             "accuracy_percent": self.accuracy_percent,
             "sampled": self.sampled,
+            "certified": self.certified,
             "solver_failures": self.solver_failures,
         }
         if include_trials and self.per_trial is not None:
@@ -135,7 +153,7 @@ class _BasisPursuit:
         self._highs.passModel(lp)
 
     def solve(self, y):
-        """Minimum-l1 x with a @ x = y; raises SolverFailureError."""
+        """Minimum-l1 x with a @ x = y, and its residual; raises SolverFailureError."""
         highs = self._highs
         for row, value in enumerate(y.tolist()):
             highs.changeRowBounds(row, value, value)
@@ -156,7 +174,7 @@ class _BasisPursuit:
             raise SolverFailureError(
                 f"basis pursuit solution infeasible (residual {residual:.3e})", residual=residual
             )
-        return x
+        return x, residual
 
 
 def solve_bp(phi_sub, y, cfg=None):
@@ -189,7 +207,7 @@ def solve_bp(phi_sub, y, cfg=None):
         raise ValueError(f"dimension mismatch: matrix {a.shape} vs measurement {y.shape}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(y))):
         raise ValueError("measurement matrix and measurements must be finite")
-    return _BasisPursuit(a, cfg).solve(y)
+    return _BasisPursuit(a, cfg).solve(y)[0]
 
 
 def _unit_columns(a):
@@ -198,17 +216,26 @@ def _unit_columns(a):
     return a / np.where(norms > 0.0, norms, 1.0)
 
 
-def _unrank_combination(rank, n, k):
-    """rank-th size-k subset of range(n) in lexicographic order."""
-    out = []
-    x = 0
-    for remaining in range(k, 0, -1):
-        while math.comb(n - x - 1, remaining - 1) <= rank:
-            rank -= math.comb(n - x - 1, remaining - 1)
-            x += 1
-        out.append(x)
-        x += 1
-    return tuple(out)
+def _unrank(ranks, n, k):
+    """Lexicographic size-k subsets of range(n) for an array of ranks.
+
+    Rank r is rewritten as q = C(n, k) - r, the number of subsets from
+    the r-th on; position by position, the next element v is the largest
+    with C(n - v, remaining) >= q, found by one searchsorted over the
+    table C(j, remaining), j = 0..n, and q drops by C(n - v - 1,
+    remaining).  Table entries are clipped at C(n, k), which q never
+    exceeds, so every count fits in int64 when C(n, k) does.
+    """
+    total = math.comb(n, k)
+    q = total - np.asarray(ranks, dtype=np.int64)
+    out = np.empty((q.size, k), dtype=np.intp)
+    for i, remaining in enumerate(range(k, 0, -1)):
+        table = np.array([min(math.comb(j, remaining), total) for j in range(n + 1)],
+                         dtype=np.int64)
+        j = np.searchsorted(table, q)
+        out[:, i] = n - j
+        q -= table[j - 1]
+    return out
 
 
 def _supports(n, k, cfg):
@@ -231,18 +258,51 @@ def _supports(n, k, cfg):
         while len(seen) < cfg.sample_cap:
             seen.add(tuple(sorted(rng.choice(n, k, replace=False).tolist())))
         return sorted(seen), True
-    return [_unrank_combination(int(r), n, k) for r in sorted(ranks)], True
+    return list(map(tuple, _unrank(np.sort(ranks), n, k).tolist())), True
+
+
+def _fuchs_certified(a, supports):
+    """Which supports carry a Fuchs certificate of exact recovery.
+
+    For a support S with A_S' A_S well conditioned, w = A_S (A_S' A_S)^-1 1
+    is a dual point with A_S' w = 1; |a_l' w| < 1 for every l outside S
+    proves that 1_S is the unique minimum-l1 point of {x : A x = A 1_S}
+    (Fuchs, IEEE TIT 2004), so basis pursuit recovers it exactly.
+    Ill-conditioned supports (zero or repeated columns, k > m) are never
+    certified.  supports is an int array of shape (t, k); the stacked
+    k x k solves run over chunks of _CERT_CHUNK supports, so memory stays
+    O(_CERT_CHUNK n).
+    """
+    t, k = supports.shape
+    certified = np.zeros(t, dtype=bool)
+    cols = a.T
+    for lo in range(0, t, _CERT_CHUNK):
+        chunk = supports[lo:lo + _CERT_CHUNK]
+        a_s = cols[chunk]  # (c, k, m)
+        gram = a_s @ a_s.transpose(0, 2, 1)
+        eig = np.linalg.eigvalsh(gram)
+        ok = eig[:, 0] > _CERT_MIN_EIG_RATIO * eig[:, -1]
+        gram[~ok] = np.eye(k)  # keep the batched solve nonsingular; verdict already False
+        coef = np.linalg.solve(gram, np.ones((len(chunk), k, 1)))
+        w = (a_s * coef).sum(axis=1)  # (c, m)
+        corr = np.abs(w @ a)
+        np.put_along_axis(corr, chunk, 0.0, axis=1)
+        certified[lo:lo + len(chunk)] = ok & (corr.max(axis=1) < 1.0 - _CERT_MARGIN)
+    return certified
 
 
 def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
     """Exact-recovery percentage of unit-magnitude k-sparse signals.
 
     For each support, plants x with ones on the support, measures
-    y = A @ x through the column-normalized submatrix A, runs basis
-    pursuit, and counts the trial as exact when the reconstruction is
-    within exact_tol of x in every entry.  A solver failure marks the
-    trial as not recovered, is counted in solver_failures, and the sweep
-    goes on.  All trials share one warm-started LP model (see the module
+    y = A @ x through the column-normalized submatrix A, and counts the
+    trial as exact when basis pursuit reproduces x to within exact_tol
+    in every entry.  A support with a Fuchs certificate (see
+    _fuchs_certified) is exact without an LP; its residual and error are
+    reported as 0.0 and it is counted in `certified`.  Every other
+    support goes to basis pursuit: a solver failure marks the trial as
+    not recovered, is counted in solver_failures, and the sweep goes on.
+    The LP trials share one warm-started model (see the module
     docstring).
 
     Returns
@@ -257,21 +317,24 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
         raise ValueError(f"sparsity k={k} outside [1, {n})")
     a = _unit_columns(phi[idx])
     supports, sampled = _supports(n, k, cfg)
+    certified = _fuchs_certified(a, np.array(supports))
     bp = _BasisPursuit(a, cfg)
     trials = [] if keep_trials else None
     exact = failures = 0
-    for support in supports:
-        x = np.zeros(n)
-        x[list(support)] = 1.0
-        y = a @ x
-        try:
-            xhat = bp.solve(y)
-            residual = float(np.linalg.norm(a @ xhat - y))
-            err = float(np.max(np.abs(xhat - x)))
-            recovered = err <= cfg.exact_tol
-        except SolverFailureError as exc:
-            residual, err, recovered = exc.residual, math.inf, False
-            failures += 1
+    for support, sure in zip(supports, certified.tolist()):
+        if sure:
+            residual, err, recovered = 0.0, 0.0, True
+        else:
+            x = np.zeros(n)
+            x[list(support)] = 1.0
+            y = a @ x
+            try:
+                xhat, residual = bp.solve(y)
+                err = float(np.max(np.abs(xhat - x)))
+                recovered = err <= cfg.exact_tol
+            except SolverFailureError as exc:
+                residual, err, recovered = exc.residual, math.inf, False
+                failures += 1
         exact += recovered
         if keep_trials:
             trials.append(TrialOutcome(support, bool(recovered), residual, err))
@@ -281,6 +344,7 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
         exact_count=exact,
         accuracy_percent=100.0 * exact / total,
         sampled=sampled,
+        certified=int(certified.sum()),
         solver_failures=failures,
         per_trial=trials,
     )

@@ -105,6 +105,9 @@ def test_select_metrics_recover_round_trip(capsys, tmp_path):
     assert code == 0
     assert recovery["total_trials"] == 10
     assert 0.0 <= recovery["accuracy_percent"] <= 100.0
+    # k=1 and no two columns parallel: every trial carries a certificate
+    assert recovery["certified"] == recovery["exact_count"] == 10
+    assert recovery["solver_failures"] == 0
 
 
 def test_select_random_is_reproducible(capsys, tmp_path):

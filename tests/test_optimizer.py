@@ -280,6 +280,23 @@ def test_full_budget_selects_everything():
     np.testing.assert_array_equal(result.subset, np.arange(5))
 
 
+def test_selection_does_not_depend_on_the_scale_of_phi():
+    # eps1/eps2 are absolute, so the descent sees phi at a fixed RMS scale
+    phi = generate(EnsembleSpec("uniform-gaussian", d=200, n=200, seed=0, gaussian_rows=10))
+    base = run_insense(phi, 10)
+    for scale in (1e-8, 1e-4, 1e4, 1e150):
+        result = run_insense(phi * scale, 10)
+        np.testing.assert_array_equal(result.subset, base.subset)
+        assert result.subset_mu_avg == pytest.approx(base.subset_mu_avg, rel=1e-12)
+    for scale in (2.0**-40, 2.0**60):
+        # power-of-two scales are exact, so the whole descent repeats bit for bit
+        result = run_insense(phi * scale, 10)
+        np.testing.assert_array_equal(result.subset, base.subset)
+        np.testing.assert_array_equal(result.final_weights, base.final_weights)
+        assert result.objective_trace == base.objective_trace
+        assert result.subset_mu_avg == base.subset_mu_avg
+
+
 def test_restarts_use_their_own_streams():
     rng = np.random.default_rng(41)
     phi = rng.standard_normal((15, 6))

@@ -8,8 +8,30 @@ import pytest
 from scipy.optimize import linprog
 
 import insense.recovery as recovery
-from insense import BpConfig, SolverFailureError, evaluate_recovery, solve_bp
-from insense.recovery import _supports, _unrank_combination
+from insense import (
+    BpConfig,
+    EnsembleSpec,
+    SolverFailureError,
+    evaluate_recovery,
+    generate,
+    run_insense,
+    solve_bp,
+)
+from insense.recovery import _supports, _unrank
+
+
+def _unrank_combination(rank, n, k):
+    """rank-th size-k subset of range(n) in lexicographic order, one
+    binomial at a time: the oracle for the vectorised _unrank."""
+    out = []
+    x = 0
+    for remaining in range(k, 0, -1):
+        while math.comb(n - x - 1, remaining - 1) <= rank:
+            rank -= math.comb(n - x - 1, remaining - 1)
+            x += 1
+        out.append(x)
+        x += 1
+    return tuple(out)
 
 
 def _min_l1_by_enumeration(a, y, max_support, feas_tol=1e-9):
@@ -92,7 +114,7 @@ def _sweep_vs_linprog(a, k, cfg):
         y = a @ x
         ref = _linprog_bp(a, y)
         assert trial.recovered == (np.max(np.abs(ref - x)) <= cfg.exact_tol)
-        if np.max(np.abs(bp.solve(y) - ref)) <= 1e-6:
+        if np.max(np.abs(bp.solve(y)[0] - ref)) <= 1e-6:
             close += 1
         else:
             assert not _unique_bp_optimum(a, ref), support
@@ -106,6 +128,74 @@ def test_sweep_matches_linprog_reference():
     assert total == math.comb(40, 2) and close >= 0.9 * total
     total, close = _sweep_vs_linprog(a, 3, BpConfig(seed=5, sample_cap=300))
     assert total == 300 and close >= 0.9 * total
+
+
+def _gaussian_10x40():
+    return recovery._unit_columns(np.random.default_rng(11).standard_normal((10, 40)))
+
+
+def _identity_gaussian_selection():
+    phi = generate(EnsembleSpec("identity-gaussian", d=100, n=50, seed=0))
+    return phi, run_insense(phi, 10).subset
+
+
+_SCREENED_SWEEPS = {
+    "gaussian-10x40-k2": lambda: (_gaussian_10x40(), np.arange(10), 2, BpConfig()),
+    "gaussian-10x40-k3-sampled": lambda: (_gaussian_10x40(), np.arange(10), 3,
+                                          BpConfig(seed=5, sample_cap=300)),
+    "identity-gaussian-100x50-k2": lambda: (*_identity_gaussian_selection(), 2, BpConfig()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCREENED_SWEEPS))
+def test_certified_sweep_matches_unscreened_verdicts(case, monkeypatch):
+    phi, rows, k, cfg = _SCREENED_SWEEPS[case]()
+    screened = evaluate_recovery(phi, rows, k, cfg, keep_trials=True)
+    monkeypatch.setattr(recovery, "_fuchs_certified",
+                        lambda a, supports: np.zeros(len(supports), dtype=bool))
+    plain = evaluate_recovery(phi, rows, k, cfg, keep_trials=True)
+    assert plain.certified == 0
+    assert 0 < screened.certified < screened.total_trials
+    assert screened.exact_count == plain.exact_count
+    assert screened.solver_failures == plain.solver_failures == 0
+    for got, ref in zip(screened.per_trial, plain.per_trial, strict=True):
+        assert got.support == ref.support
+        assert got.recovered == ref.recovered, got.support
+
+
+@pytest.mark.parametrize("k, cfg", [(2, BpConfig()), (3, BpConfig(seed=5, sample_cap=300))])
+def test_certified_trials_have_a_unique_bp_optimum(k, cfg):
+    a = _gaussian_10x40()
+    supports = np.array(_supports(40, k, cfg)[0])
+    certified = recovery._fuchs_certified(a, supports)
+    assert certified.any()
+    for support in supports[certified]:
+        x = np.zeros(40)
+        x[support] = 1.0
+        assert _unique_bp_optimum(a, x), support
+
+
+def test_degenerate_supports_are_never_certified():
+    a = recovery._unit_columns(np.random.default_rng(13).standard_normal((6, 10)))
+    a[:, 3] = a[:, 1]  # a repeated column
+    a[:, 5] = 0.0  # a zero column
+    supports = np.array(list(itertools.combinations(range(10), 2)))
+    certified = recovery._fuchs_certified(a, supports)
+    degenerate = np.array([{1, 3} <= set(s) or 5 in s for s in supports.tolist()])
+    assert not certified[degenerate].any()
+    assert certified[~degenerate].any()
+    # more support columns than rows: A_S'A_S is singular
+    wide = np.array(list(itertools.combinations(range(10), 7)))
+    assert not recovery._fuchs_certified(a, wide).any()
+
+
+def test_certificate_does_not_depend_on_the_chunk_size(monkeypatch):
+    a = _gaussian_10x40()
+    supports = np.array(list(itertools.combinations(range(40), 2)))
+    whole = recovery._fuchs_certified(a, supports)
+    monkeypatch.setattr(recovery, "_CERT_CHUNK", 7)
+    np.testing.assert_array_equal(recovery._fuchs_certified(a, supports), whole)
+    assert 0 < whole.sum() < len(supports)
 
 
 def test_iteration_limited_sweep_has_no_false_positives():
@@ -247,15 +337,24 @@ def test_sampled_supports_are_distinct_and_sorted():
 
 
 def test_solver_failure_marks_trial_and_continues(monkeypatch):
+    # a sweep whose uncertified trials reach the LP, and every LP fails
     def boom(self, y):
         raise SolverFailureError("forced failure", residual=1.0)
 
     monkeypatch.setattr(recovery._BasisPursuit, "solve", boom)
-    report = evaluate_recovery(np.eye(4), np.arange(4), 1, keep_trials=True)
-    assert report.exact_count == 0
-    assert all(not t.recovered for t in report.per_trial)
-    assert all(math.isinf(t.linf_error) for t in report.per_trial)
-    assert report.solver_failures == report.total_trials
+    phi = np.random.default_rng(12).standard_normal((10, 40))
+    report = evaluate_recovery(phi, np.arange(10), 2, keep_trials=True)
+    certified = recovery._fuchs_certified(
+        recovery._unit_columns(phi), np.array([t.support for t in report.per_trial]))
+    assert report.certified == certified.sum()
+    assert 0 < report.solver_failures == report.total_trials - report.certified
+    assert report.exact_count == report.certified
+    for trial, sure in zip(report.per_trial, certified):
+        if sure:
+            assert trial.recovered and trial.residual == trial.linf_error == 0.0
+        else:
+            assert not trial.recovered and math.isinf(trial.linf_error)
+            assert trial.residual == 1.0
 
 
 def test_supports_sample_when_the_count_overflows_int64():
@@ -279,8 +378,24 @@ def test_support_draws_below_the_int64_limit_are_pinned():
 
 def test_unrank_matches_lexicographic_order():
     combos = list(itertools.combinations(range(7), 3))
-    for rank, combo in enumerate(combos):
-        assert _unrank_combination(rank, 7, 3) == combo
+    np.testing.assert_array_equal(_unrank(np.arange(len(combos)), 7, 3), combos)
+
+
+@pytest.mark.parametrize("n, k, draws",
+                         [(12, 3, None), (200, 5, 400), (2000, 5, 200), (70, 64, 100)])
+def test_vectorised_unrank_matches_one_rank_at_a_time(n, k, draws):
+    total = math.comb(n, k)
+    if draws is None:
+        ranks = np.arange(total)
+    else:
+        # the extreme ranks, then uniform draws; C(2000, 5) is ~2.6e14, and
+        # C(70, 64) is small while C(70, 35) on its way is past int64
+        drawn = np.random.default_rng(n).integers(total, size=draws)
+        ranks = np.sort(np.r_[0, total - 1, drawn])
+    got = _unrank(ranks, n, k)
+    assert got.shape == (len(ranks), k)
+    assert [tuple(row) for row in got.tolist()] == [
+        _unrank_combination(int(r), n, k) for r in ranks]
 
 
 def test_report_serialization():
@@ -290,6 +405,8 @@ def test_report_serialization():
     assert payload["exact_count"] == payload["total_trials"] == 3
     assert len(payload["per_trial"]) == 3
     assert payload["solver_failures"] == 0
+    assert payload["certified"] == report.certified == 3
+    assert all(t["residual"] == t["linf_error"] == 0.0 for t in payload["per_trial"])
     assert "per_trial" not in report.to_dict()
 
 
