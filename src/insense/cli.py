@@ -27,7 +27,7 @@ from .baselines import EXHAUSTIVE_LIMIT
 from .datagen import KINDS, EnsembleSpec, generate, load_matrix, manifest, save_matrix
 from .exceptions import InsenseError
 from .experiment import SELECTORS, configure, resolve_config, run_benchmark, write_outputs
-from .metrics import extract_submatrix, metric_report, validate_subset
+from .metrics import as_whole_number, extract_submatrix, metric_report, validate_subset
 from .recovery import BpConfig, evaluate_recovery
 
 OUTDIR_ENV = "INSENSE_OUTDIR"
@@ -142,13 +142,13 @@ def _resolve_subset(args, d):
     if args.selection is not None:
         with open(args.selection, encoding="utf-8") as fh:
             payload = json.load(fh)
-        indices = payload.get("indices")
+        indices = payload.get("indices") if isinstance(payload, dict) else None
         if not isinstance(indices, list) or not indices:
             raise InsenseError(f"no 'indices' list in {args.selection}")
-        try:
-            subset = sorted(int(i) for i in indices)
-        except (TypeError, ValueError):
+        subset = [as_whole_number(i) for i in indices]
+        if None in subset:
             raise InsenseError(f"non-integer entries in 'indices' of {args.selection}")
+        subset.sort()
     elif args.subset is not None:
         subset = args.subset
     else:
@@ -189,6 +189,7 @@ def cmd_select(args):
         "final_objective": None if result is None else float(result.final_objective),
         "iterations": None if result is None else int(result.iterations),
         "converged": None if result is None else bool(result.converged),
+        "stop_reason": None if result is None else result.stop_reason,
         "subset_iteration": None if result is None else int(result.subset_iteration),
         "objective_evals": None if result is None else int(result.objective_evals),
         "subset_mu_avg": None if result is None or result.subset_mu_avg is None

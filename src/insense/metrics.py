@@ -48,14 +48,29 @@ def validate_subset(indices, d):
     return idx
 
 
+def as_whole_number(value):
+    """`value` as an int when it is a finite whole number, else None.
+
+    Accepts Python and numpy integers and integral floats such as 3.0;
+    rejects bools, fractions, NaN, infinities and strings.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return whole if whole == value else None
+
+
 def validate_budget(m, d):
-    """Check that `m` is an integer row budget with 1 <= m <= d."""
-    if int(m) != m:
+    """Check that `m` is an integer row budget with 1 <= m <= d; return it as an int."""
+    whole = as_whole_number(m)
+    if whole is None:
         raise InfeasibleConstraintError(f"row budget must be an integer, got {m!r}")
-    m = int(m)
-    if not 1 <= m <= d:
-        raise InfeasibleConstraintError(f"row budget m={m} outside [1, {d}]")
-    return m
+    if not 1 <= whole <= d:
+        raise InfeasibleConstraintError(f"row budget m={whole} outside [1, {d}]")
+    return whole
 
 
 def extract_submatrix(phi, indices):

@@ -16,6 +16,8 @@ off-diagonal mass in ways no m-row subset can (spreading tiny weight over
 many mutually orthogonal rows), so the final iterate's top-m rows may be
 a poor subset even at a low objective value.  Scoring the actual rounded
 candidates by their average column coherence closes that relaxation gap.
+The best rounding usually appears within the first few steps, so the
+descent stops once it has not improved for _PATIENCE accepted steps.
 """
 
 import numpy as np
@@ -31,6 +33,8 @@ from .seeding import seeded_rng
 _INIT_MODES = ("uniform", "uniform-plus-jitter")
 _MAX_BACKTRACKS = 50
 _REL_FLOOR = 1e-30  # denominator floor for the relative-change stop rule
+# accepted steps without a new best rounding before the descent stops
+_PATIENCE = 10
 
 
 @dataclass
@@ -38,10 +42,12 @@ class InsenseConfig:
     """Settings for run_insense.
 
     eps1/eps2 smooth the objective (eps2 < eps1 << 1).  The run stops when
-    the relative objective change drops below rel_tol or after max_iters
-    iterations.  The line search shrinks a trial step by ls_shrink until
-    the objective stops increasing.  ls_init_step is the first
-    iteration's trial step; every later iteration starts from the
+    the relative objective change drops below rel_tol, when no step
+    descends, when the best rounding has not improved for _PATIENCE (10)
+    accepted steps, or after max_iters iterations; the result's
+    stop_reason says which.  The line search shrinks a trial step by
+    ls_shrink until the objective stops increasing.  ls_init_step is the
+    first iteration's trial step; every later iteration starts from the
     Barzilai-Borwein step of the last two iterates, capped at
     ls_init_step.  Every float setting must be finite.
     """
@@ -93,12 +99,23 @@ class SelectionResult:
     leave zero columns), the final weights' rounding is kept and
     subset_mu_avg is None.
 
-    final_weights, final_objective, and objective_trace describe the end
-    of the descent itself.  converged is True when the run stopped on the
-    relative-change tolerance (or could no longer descend) rather than on
-    the iteration cap.  objective_evals counts the objective evaluations
-    of the whole call, rejected line-search candidates and every restart
-    included: the work done, one Gram matrix each.
+    stop_reason says why the descent ended: "rel_tol" (the relative
+    objective change fell below cfg.rel_tol), "no_descent" (no trial
+    step at resolvable sizes lowered the objective), "stalled" (_PATIENCE
+    accepted steps passed without a new best rounding, counted from the
+    last new best and only once some rounding has a defined score) or
+    "max_iters" (the iteration cap).  converged is True for the first two
+    only: a stalled run stops because its subset stopped improving, not
+    because the objective settled.
+
+    iterations, final_weights, final_objective and objective_trace
+    describe the descent where it stopped.  A stalled run is an exact
+    prefix of the run without the stall rule: the same trace up to its
+    length, and final weights equal to that run's iterate at the same
+    iteration.
+    objective_evals counts the objective evaluations of the whole call,
+    rejected line-search candidates and every restart included: the
+    work done, one Gram matrix each.
     """
 
     subset: np.ndarray
@@ -106,10 +123,15 @@ class SelectionResult:
     iterations: int
     final_objective: float
     objective_trace: list[float] = field(repr=False)
-    converged: bool = True
+    stop_reason: str = "max_iters"
     subset_iteration: int = 0
     subset_mu_avg: float | None = None
     objective_evals: int = 0
+
+    @property
+    def converged(self):
+        """True when the descent stopped on rel_tol or could not descend."""
+        return self.stop_reason in ("rel_tol", "no_descent")
 
 
 def gram_matrix(phi, z):
@@ -232,7 +254,7 @@ def _run_single(phi, m, cfg, rng, callback=None):
         raise NumericalFailureError("objective non-finite at the initial point", iteration=0)
     trace = [f]
     evals = 1
-    converged = False
+    stop_reason = "max_iters"
     iterations = 0
     # best rounded candidate so far: (score, iteration, subset)
     scored = _round_to_subset(z, m)
@@ -258,7 +280,7 @@ def _run_single(phi, m, cfg, rng, callback=None):
             step *= cfg.ls_shrink
         if not accepted:
             # no step at resolvable sizes descends; treat as converged
-            converged = True
+            stop_reason = "no_descent"
             break
         rel_change = abs(f_cand - f) / max(abs(f), _REL_FLOOR)
         z_prev, grad_prev = z, grad
@@ -273,7 +295,11 @@ def _run_single(phi, m, cfg, rng, callback=None):
         if callback is not None:
             callback(iterations, z, f)
         if rel_change < cfg.rel_tol:
-            converged = True
+            stop_reason = "rel_tol"
+            break
+        # patience runs from the last new best, so only once a score is defined
+        if best[0] is not None and iterations - best[1] >= _PATIENCE:
+            stop_reason = "stalled"
             break
     score, subset_iteration, subset = best
     if score is None:
@@ -285,7 +311,7 @@ def _run_single(phi, m, cfg, rng, callback=None):
         iterations=iterations,
         final_objective=f,
         objective_trace=trace,
-        converged=converged,
+        stop_reason=stop_reason,
         subset_iteration=subset_iteration,
         subset_mu_avg=score,
         objective_evals=evals,

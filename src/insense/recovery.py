@@ -38,7 +38,7 @@ from scipy.optimize._highspy import _core as _highs
 from scipy.sparse import csc_array
 
 from .exceptions import SolverFailureError
-from .metrics import as_sensing_matrix, validate_subset
+from .metrics import as_sensing_matrix, as_whole_number, validate_subset
 from .seeding import seeded_rng
 
 # Fuchs pre-screen of a sweep: supports per batched solve, the least
@@ -308,13 +308,20 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
     Returns
     -------
     RecoveryReport
+
+    Raises
+    ------
+    ValueError
+        When k is not a whole number in [1, n) (bools are rejected).
     """
     cfg = cfg or BpConfig()
     phi = as_sensing_matrix(phi)
     d, n = phi.shape
     idx = validate_subset(subset, d)
-    if not 1 <= k < n:
-        raise ValueError(f"sparsity k={k} outside [1, {n})")
+    whole = as_whole_number(k)
+    if whole is None or not 1 <= whole < n:
+        raise ValueError(f"sparsity k={k!r} must be an integer in [1, {n})")
+    k = whole
     a = _unit_columns(phi[idx])
     supports, sampled = _supports(n, k, cfg)
     certified = _fuchs_certified(a, np.array(supports))

@@ -83,6 +83,8 @@ def test_select_metrics_recover_round_trip(capsys, tmp_path):
     assert len(payload["indices"]) == 3
     assert payload["indices"] == sorted(payload["indices"])
     assert payload["iterations"] >= 1
+    assert payload["stop_reason"] in ("rel_tol", "no_descent", "stalled", "max_iters")
+    assert payload["converged"] == (payload["stop_reason"] in ("rel_tol", "no_descent"))
     # the start and at least one line-search candidate per iteration
     assert payload["objective_evals"] > payload["iterations"]
     assert payload["time_s"] >= 0.0
@@ -118,6 +120,7 @@ def test_select_random_is_reproducible(capsys, tmp_path):
     _, second = _run(capsys, argv)
     assert first["indices"] == second["indices"]
     assert first["weights"] is None
+    assert first["stop_reason"] is None
 
 
 def test_selected_subset_does_not_depend_on_blas_threads(tmp_path):
@@ -195,6 +198,24 @@ def test_runtime_errors_exit_1(capsys, tmp_path):
          "--method", "exhaustive-mu-avg", "--exhaustive-limit", "100"],
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["[1, 2, 3]", "3", "null", '{"indices": [0, 2.7]}', '{"indices": [0, true]}',
+     '{"indices": ["1", 2]}'],
+    ids=["list-root", "number-root", "null-root", "fraction", "bool", "string"],
+)
+def test_selection_file_must_hold_integer_indices(capsys, tmp_path, content):
+    selection = tmp_path / "selection.json"
+    selection.write_text(content)
+    source = ["--ensemble", "gaussian", "--d", "5", "--n", "4", "--selection", str(selection)]
+    for argv in (["metrics", *source], ["recover", *source, "--k", "1"]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 def _benchmark_config(output_dir, matrix=None):

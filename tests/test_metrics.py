@@ -122,7 +122,8 @@ def test_subset_validation_errors():
 def test_budget_validation_errors():
     assert validate_budget(3, 5) == 3
     assert validate_budget(np.int64(5), 5) == 5
-    for bad in (0, -2, 6, 2.5):
+    assert validate_budget(3.0, 5) == 3 and type(validate_budget(3.0, 5)) is int
+    for bad in (0, -2, 6, 2.5, True, np.bool_(True), np.nan, np.inf, -np.inf, "3"):
         with pytest.raises(InfeasibleConstraintError):
             validate_budget(bad, 5)
 

@@ -80,31 +80,29 @@ def _dense_gram(phi, z):
     return 0.5 * (g + g.T)
 
 
-# Each case carries the outcome of the fixed-step line search (every
-# search started at ls_init_step): its objective evaluations, subset and
-# subset iteration.  The Barzilai-Borwein start must keep the subset and
-# at least halve the work.
+# Each case carries its pinned objective evaluations, subset and subset
+# iteration.
 @pytest.mark.parametrize(
-    "spec, m, cfg, fixed_step_evals, subset, subset_iteration",
+    "spec, m, cfg, evals, subset, subset_iteration",
     [
         (EnsembleSpec("uniform-gaussian", d=200, n=200, seed=0, gaussian_rows=10), 10,
-         InsenseConfig(init="uniform-plus-jitter", seed=0), 429, list(range(10)), 1),
+         InsenseConfig(init="uniform-plus-jitter", seed=0), 14, list(range(10)), 1),
         (EnsembleSpec("identity-gaussian", d=100, n=50, seed=0), 10,
-         InsenseConfig(init="uniform-plus-jitter", restarts=3, seed=0), 3444,
+         InsenseConfig(init="uniform-plus-jitter", restarts=3, seed=0), 80,
          [52, 66, 67, 70, 72, 79, 80, 93, 97, 99], 3),
-        (EnsembleSpec("gaussian", d=60, n=60, seed=0), 20, InsenseConfig(seed=0), 46,
+        (EnsembleSpec("gaussian", d=60, n=60, seed=0), 20, InsenseConfig(seed=0), 16,
          [0, 2, 5, 6, 9, 12, 20, 24, 29, 34, 37, 38, 40, 41, 43, 45, 46, 48, 53, 58], 1),
     ],
     ids=["uniform-gaussian", "identity-gaussian", "gaussian"],
 )
 def test_descent_matches_dense_gram_reference(
-    monkeypatch, spec, m, cfg, fixed_step_evals, subset, subset_iteration
+    monkeypatch, spec, m, cfg, evals, subset, subset_iteration
 ):
     phi = generate(spec)
     fast = run_insense(phi, m, cfg)
     assert fast.subset.tolist() == subset
     assert fast.subset_iteration == subset_iteration
-    assert fast.objective_evals <= fixed_step_evals // 2
+    assert fast.objective_evals == evals
     assert np.all(np.diff(fast.objective_trace) <= 0.0)
     monkeypatch.setattr(optimizer, "gram_matrix", _dense_gram)
     dense = run_insense(phi, m, cfg)
@@ -114,6 +112,92 @@ def test_descent_matches_dense_gram_reference(
     assert fast.objective_evals == dense.objective_evals
     assert fast.subset_mu_avg == dense.subset_mu_avg
     np.testing.assert_allclose(fast.objective_trace, dense.objective_trace, rtol=1e-12, atol=0.0)
+
+
+def _restart_paths(phi, m, cfg):
+    """run_insense plus the accepted iterates (z, f) of each restart."""
+    paths = []
+
+    def record(iteration, z, f):
+        if iteration == 1:
+            paths.append([])
+        paths[-1].append((z.copy(), f))
+
+    result = run_insense(phi, m, cfg, callback=record)
+    assert len(paths) == cfg.restarts
+    return result, paths
+
+
+@pytest.mark.parametrize(
+    "ensemble, m, cfg",
+    [
+        (dict(kind="uniform-gaussian", d=200, n=200, gaussian_rows=10), 10,
+         dict(init="uniform-plus-jitter")),
+        (dict(kind="identity-gaussian", d=100, n=50), 10,
+         dict(init="uniform-plus-jitter", restarts=3)),
+        (dict(kind="gaussian", d=60, n=60), 20, {}),
+        (dict(kind="gaussian", d=100, n=100), 20, {}),
+    ],
+    ids=["uniform-gaussian", "identity-gaussian", "gaussian-60", "gaussian-100"],
+)
+def test_early_stop_is_a_prefix_of_the_full_descent(monkeypatch, ensemble, m, cfg):
+    for seed in range(10):
+        phi = generate(EnsembleSpec(**ensemble, seed=seed))
+        run_cfg = InsenseConfig(seed=seed, **cfg)
+        early, early_paths = _restart_paths(phi, m, run_cfg)
+        with monkeypatch.context() as patch:
+            # patience past max_iters: the descent without the stall rule
+            patch.setattr(optimizer, "_PATIENCE", run_cfg.max_iters + 1)
+            full, full_paths = _restart_paths(phi, m, run_cfg)
+        assert full.stop_reason != "stalled"
+        np.testing.assert_array_equal(early.subset, full.subset)
+        assert early.subset_iteration == full.subset_iteration
+        assert early.subset_mu_avg == full.subset_mu_avg
+        assert early.objective_trace == full.objective_trace[: len(early.objective_trace)]
+        assert early.objective_evals <= full.objective_evals
+        for short, long in zip(early_paths, full_paths):
+            assert len(short) <= len(long)
+            for (z_short, f_short), (z_long, f_long) in zip(short, long):
+                np.testing.assert_array_equal(z_short, z_long)
+                assert f_short == f_long
+        # the reported weights are the full run's iterate at the same iteration
+        full_iterate = [p[early.iterations - 1][0] for p in full_paths if len(p) >= early.iterations]
+        assert any(np.array_equal(early.final_weights, z) for z in full_iterate)
+        if early.stop_reason == "stalled":
+            # patience runs from the reported restart's last new best
+            assert early.iterations == early.subset_iteration + optimizer._PATIENCE
+            assert early.iterations < full.iterations
+
+
+def _uncoverable_matrix():
+    """40 x 16, each row nonzero in 3 columns: 5 rows cover at most 15 columns."""
+    rng = np.random.default_rng(1)
+    phi = np.zeros((40, 16))
+    for i in range(40):
+        cols = rng.choice(16, 3, replace=False)
+        phi[i, cols] = rng.standard_normal(3)
+    assert np.all(np.any(phi != 0.0, axis=0))
+    return phi
+
+
+def test_stop_reasons():
+    phi = generate(EnsembleSpec("uniform-gaussian", d=200, n=200, seed=0, gaussian_rows=10))
+    capped = run_insense(phi, 10, InsenseConfig(max_iters=1))
+    assert (capped.stop_reason, capped.converged, capped.iterations) == ("max_iters", False, 1)
+    loose = run_insense(phi, 10, InsenseConfig(rel_tol=0.5))
+    assert (loose.stop_reason, loose.converged) == ("rel_tol", True)
+    # the best rounding turns up at iteration 1; patience runs from there
+    stalled = run_insense(phi, 10, InsenseConfig(init="uniform-plus-jitter", seed=0))
+    assert stalled.stop_reason == "stalled"
+    assert stalled.converged is False
+    assert stalled.subset_iteration == 1
+    assert stalled.iterations == 1 + optimizer._PATIENCE
+    # no rounding ever has a defined score, so the stall rule never starts
+    blind = run_insense(_uncoverable_matrix(), 5)
+    assert blind.subset_mu_avg is None
+    assert blind.stop_reason == "rel_tol"
+    assert blind.iterations > optimizer._PATIENCE
+    assert blind.subset_iteration == blind.iterations
 
 
 def test_hot_layers_are_called_by_module_name(monkeypatch):

@@ -424,3 +424,15 @@ def test_sparsity_bounds():
         evaluate_recovery(np.eye(3), np.arange(3), 0)
     with pytest.raises(ValueError):
         evaluate_recovery(np.eye(3), np.arange(3), 3)
+
+
+def test_sparsity_must_be_an_integer():
+    phi = np.vstack([np.eye(8), np.random.default_rng(4).standard_normal((8, 8))])
+    base = evaluate_recovery(phi, np.arange(5), 2)
+    for k in (np.int64(2), 2.0):
+        report = evaluate_recovery(phi, np.arange(5), k)
+        assert report.exact_count == base.exact_count
+        assert report.total_trials == base.total_trials
+    for bad in (True, np.bool_(True), 2.5, np.nan, np.inf, "2"):
+        with pytest.raises(ValueError, match="sparsity"):
+            evaluate_recovery(phi, np.arange(5), bad)
