@@ -28,6 +28,7 @@ from .datagen import KINDS, EnsembleSpec, generate, load_matrix, manifest, save_
 from .exceptions import InsenseError
 from .experiment import SELECTORS, configure, resolve_config, run_benchmark, write_outputs
 from .metrics import as_whole_number, extract_submatrix, metric_report, validate_subset
+from .optimizer import INIT_MODES, InsenseConfig
 from .recovery import BpConfig, evaluate_recovery
 
 OUTDIR_ENV = "INSENSE_OUTDIR"
@@ -277,9 +278,9 @@ def build_parser():
     p.add_argument("--m", type=_positive_int, required=True, help="number of rows to keep")
     p.add_argument("--method", choices=tuple(SELECTORS), default="insense")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=_positive_int, default=1)
-    p.add_argument("--max-iters", type=_positive_int, default=5000)
-    p.add_argument("--init", choices=("uniform", "uniform-plus-jitter"), default="uniform")
+    p.add_argument("--restarts", type=_positive_int, default=InsenseConfig.restarts)
+    p.add_argument("--max-iters", type=_positive_int, default=InsenseConfig.max_iters)
+    p.add_argument("--init", choices=INIT_MODES, default=InsenseConfig.init)
     p.add_argument("--exhaustive-limit", type=_positive_int, default=EXHAUSTIVE_LIMIT)
     p.add_argument("--out", help="output JSON path (default: selection.json in the output dir)")
     p.add_argument("--outdir", help=f"output directory (default: ${OUTDIR_ENV} or '.')")
@@ -300,8 +301,8 @@ def build_parser():
     p.add_argument(
         "--sample-cap",
         type=_positive_int,
-        default=10000,
-        help="max supports; larger support counts are sampled (default 10000)",
+        default=BpConfig.sample_cap,
+        help=f"max supports; larger support counts are sampled (default {BpConfig.sample_cap})",
     )
     p.add_argument("--out", help="optional JSON output path")
     p.set_defaults(func=cmd_recover)

@@ -14,13 +14,12 @@ import time
 import numpy as np
 
 from dataclasses import fields, replace
-from numbers import Integral
 from typing import Callable, NamedTuple
 
 from .baselines import EXHAUSTIVE_LIMIT, select_exhaustive_mu_avg, select_fp_greedy, select_random
 from .datagen import KINDS, EnsembleSpec, block_layout, generate, load_matrix
 from .exceptions import InsenseError
-from .metrics import extract_submatrix, metric_report
+from .metrics import as_integer, extract_submatrix, metric_report
 from .optimizer import InsenseConfig, run_insense
 from .recovery import BpConfig, evaluate_recovery
 from .seeding import derive_seed
@@ -58,9 +57,7 @@ class Selector(NamedTuple):
 
 
 def _exhaustive_limit(exhaustive_limit=EXHAUSTIVE_LIMIT):
-    if not isinstance(exhaustive_limit, int) or exhaustive_limit < 1:
-        raise ValueError(f"exhaustive_limit must be a positive integer, got {exhaustive_limit!r}")
-    return exhaustive_limit
+    return as_integer(exhaustive_limit, "exhaustive_limit", least=1)
 
 
 # Runners look the selectors up by module-level name at call time, so a
@@ -110,18 +107,10 @@ def configure(method, options):
         raise InsenseError(f"bad options for {method}: {exc}") from None
 
 
-def _integer(value, what, least=None):
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise InsenseError(f"{what} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise InsenseError(f"{what} must be at least {least}, got {value}")
-    return int(value)
-
-
 def _distinct_positive(values, what):
     if not isinstance(values, list):
         raise InsenseError(f"config '{what}' must be a list")
-    values = [_integer(v, what, least=1) for v in values]
+    values = [as_integer(v, what, least=1) for v in values]
     if len(set(values)) != len(values):
         raise InsenseError(f"duplicate {what}: {values}")
     return values
@@ -132,9 +121,11 @@ def resolve_config(raw, base_dir=".", output_dir="."):
 
     Paths inside the config resolve relative to `base_dir`; `output_dir`
     is used when the config names none.  Every selector's settings are
-    built here, so a bad option fails before any cell runs.  The returned
-    dict is what gets embedded in every output file, so the same resolved
-    config always reproduces the same numbers (wall-clock columns aside).
+    built here, so a bad option fails before any cell runs.  A bad config
+    raises InsenseError, or ValueError for a count or seed that is not an
+    integer.  The returned dict is what gets embedded in every output
+    file, so the same resolved config always reproduces the same numbers
+    (wall-clock columns aside).
     """
     if not isinstance(raw, dict):
         raise InsenseError("config root must be a JSON object")
@@ -155,9 +146,9 @@ def resolve_config(raw, base_dir=".", output_dir="."):
     else:
         matrix = {
             "kind": matrix["kind"],
-            "d": _integer(matrix.get("d", 0), "matrix 'd'"),
-            "n": _integer(matrix.get("n", 0), "matrix 'n'"),
-            "gaussian_rows": _integer(matrix.get("gaussian_rows", 10), "matrix 'gaussian_rows'"),
+            "d": as_integer(matrix.get("d", 0), "matrix 'd'"),
+            "n": as_integer(matrix.get("n", 0), "matrix 'n'"),
+            "gaussian_rows": as_integer(matrix.get("gaussian_rows", 10), "matrix 'gaussian_rows'"),
             "signed": matrix.get("signed", False),
         }
         if matrix["kind"] not in KINDS:
@@ -204,12 +195,14 @@ def resolve_config(raw, base_dir=".", output_dir="."):
             output_dir = os.path.join(base_dir, output_dir)
     return {
         "matrix": matrix,
-        "seed": _integer(raw.get("seed", 0), "seed"),
-        "trials": _integer(raw.get("trials", 1), "trials", least=1),
+        "seed": as_integer(raw.get("seed", 0), "seed"),
+        "trials": as_integer(raw.get("trials", 1), "trials", least=1),
         "budgets": budgets,
         "sparsities": sparsities,
         "selectors": resolved,
-        "sample_cap": _integer(raw.get("sample_cap", 10000), "sample_cap", least=1),
+        "sample_cap": as_integer(
+            raw.get("sample_cap", BpConfig.sample_cap), "sample_cap", least=1
+        ),
         "formats": sorted(set(formats)),
         "output_dir": output_dir,
     }

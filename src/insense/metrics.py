@@ -9,6 +9,7 @@ potential at row pairs.  A metric that is meaningless for the given matrix
 import numpy as np
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from .exceptions import InfeasibleConstraintError, InvalidSubsetError
 
@@ -35,10 +36,18 @@ def as_sensing_matrix(phi):
 
 
 def validate_subset(indices, d):
-    """Check that `indices` is a strictly increasing list of ints in [0, d)."""
-    idx = np.asarray(indices, dtype=int)
-    if idx.ndim != 1 or idx.size == 0:
+    """Check that `indices` is a strictly increasing list of whole numbers in [0, d).
+
+    Entries pass as as_whole_number accepts them (3 and 3.0, numpy
+    integers); bools and fractions are rejected, never truncated.
+    """
+    shape = np.shape(indices)
+    if len(shape) != 1 or shape[0] == 0:
         raise InvalidSubsetError("subset must be a non-empty 1-D index list")
+    whole = [as_whole_number(i) for i in indices]
+    if None in whole:
+        raise InvalidSubsetError(f"subset indices must be whole numbers, got {indices!r}")
+    idx = np.asarray(whole, dtype=int)
     if np.any(idx < 0) or np.any(idx >= d):
         raise InvalidSubsetError(f"subset indices out of range for d={d}: {idx.tolist()}")
     if idx.size > 1 and np.any(np.diff(idx) <= 0):
@@ -61,6 +70,19 @@ def as_whole_number(value):
     except (TypeError, ValueError, OverflowError):
         return None
     return whole if whole == value else None
+
+
+def as_integer(value, what, least=None):
+    """`value` as an int when it is an integer setting of at least `least`.
+
+    Python and numpy integers pass; bools, floats (even 3.0) and strings
+    raise a ValueError naming the setting `what`.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+    return int(value)
 
 
 def validate_budget(m, d):

@@ -23,15 +23,20 @@ descent stops once it has not improved for _PATIENCE accepted steps.
 import numpy as np
 
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 from .exceptions import NumericalFailureError
-from .metrics import as_sensing_matrix, mu_avg, validate_budget
+from .metrics import as_integer, as_sensing_matrix, mu_avg, validate_budget
 from .projection import project_sbs
 from .seeding import seeded_rng
 
-_INIT_MODES = ("uniform", "uniform-plus-jitter")
+INIT_MODES = ("uniform", "uniform-plus-jitter")
+# line search: first trial step (and cap of every Barzilai-Borwein step),
+# shrink factor per backtrack, and backtracks before giving up
+_LS_INIT_STEP = 1.0
+_LS_SHRINK = 0.5
 _MAX_BACKTRACKS = 50
+# the descent stops when the relative objective change drops below _REL_TOL
+_REL_TOL = 1e-7
 _REL_FLOOR = 1e-30  # denominator floor for the relative-change stop rule
 # accepted steps without a new best rounding before the descent stops
 _PATIENCE = 10
@@ -41,48 +46,35 @@ _PATIENCE = 10
 class InsenseConfig:
     """Settings for run_insense.
 
-    eps1/eps2 smooth the objective (eps2 < eps1 << 1).  The run stops when
-    the relative objective change drops below rel_tol, when no step
-    descends, when the best rounding has not improved for _PATIENCE (10)
-    accepted steps, or after max_iters iterations; the result's
-    stop_reason says which.  The line search shrinks a trial step by
-    ls_shrink until the objective stops increasing.  ls_init_step is the
-    first iteration's trial step; every later iteration starts from the
-    Barzilai-Borwein step of the last two iterates, capped at
-    ls_init_step.  Every float setting must be finite.
+    eps1/eps2 smooth the objective (eps2 < eps1 << 1) and must be finite,
+    as must jitter_scale.  The run stops when the relative objective
+    change drops below _REL_TOL (1e-7), when no step descends, when the
+    best rounding has not improved for _PATIENCE (10) accepted steps, or
+    after max_iters iterations; the result's stop_reason says which.
+    max_iters, restarts and seed must be integers (bools are rejected).
     """
 
     eps1: float = 1e-9
     eps2: float = 1e-10
-    rel_tol: float = 1e-7
     max_iters: int = 5000
-    ls_shrink: float = 0.5
-    ls_init_step: float = 1.0
     init: str = "uniform"
     jitter_scale: float = 1e-3
     seed: int = 0
     restarts: int = 1
 
     def __post_init__(self):
-        for name in ("eps1", "eps2", "rel_tol", "ls_shrink", "ls_init_step", "jitter_scale"):
+        for name in ("eps1", "eps2", "jitter_scale"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0.0 < self.eps2 < self.eps1 < 1.0:
             raise ValueError(f"need 0 < eps2 < eps1 < 1, got {self.eps1}, {self.eps2}")
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
-        if not isinstance(self.max_iters, Integral) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not 0.0 < self.ls_shrink < 1.0:
-            raise ValueError("ls_shrink must lie in (0, 1)")
-        if self.ls_init_step <= 0.0:
-            raise ValueError("ls_init_step must be positive")
-        if self.init not in _INIT_MODES:
-            raise ValueError(f"init must be one of {_INIT_MODES}, got {self.init!r}")
+        as_integer(self.max_iters, "max_iters", least=1)
+        as_integer(self.restarts, "restarts", least=1)
+        as_integer(self.seed, "seed")
+        if self.init not in INIT_MODES:
+            raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
         if self.jitter_scale < 0.0:
             raise ValueError("jitter_scale must be non-negative")
-        if not isinstance(self.restarts, Integral) or self.restarts < 1:
-            raise ValueError(f"restarts must be an integer >= 1, got {self.restarts!r}")
 
 
 @dataclass
@@ -100,7 +92,7 @@ class SelectionResult:
     subset_mu_avg is None.
 
     stop_reason says why the descent ended: "rel_tol" (the relative
-    objective change fell below cfg.rel_tol), "no_descent" (no trial
+    objective change fell below _REL_TOL), "no_descent" (no trial
     step at resolvable sizes lowered the objective), "stalled" (_PATIENCE
     accepted steps passed without a new best rounding, counted from the
     last new best and only once some rounding has a defined score) or
@@ -259,11 +251,11 @@ def _run_single(phi, m, cfg, rng, callback=None):
     # best rounded candidate so far: (score, iteration, subset)
     scored = _round_to_subset(z, m)
     best = (mu_avg(phi[scored]), 0, scored)
-    step = cfg.ls_init_step
+    step = _LS_INIT_STEP
     for iterations in range(1, cfg.max_iters + 1):
         grad = weight_gradient(phi, gram, cfg)
         if iterations > 1:
-            step = _bb_step(z - z_prev, grad - grad_prev, step, cfg.ls_init_step)
+            step = _bb_step(z - z_prev, grad - grad_prev, step, _LS_INIT_STEP)
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             cand = project_sbs(z - step * grad, m).z
@@ -277,7 +269,7 @@ def _run_single(phi, m, cfg, rng, callback=None):
             if f_cand <= f:
                 accepted = True
                 break
-            step *= cfg.ls_shrink
+            step *= _LS_SHRINK
         if not accepted:
             # no step at resolvable sizes descends; treat as converged
             stop_reason = "no_descent"
@@ -294,7 +286,7 @@ def _run_single(phi, m, cfg, rng, callback=None):
                 best = (score, iterations, subset)
         if callback is not None:
             callback(iterations, z, f)
-        if rel_change < cfg.rel_tol:
+        if rel_change < _REL_TOL:
             stop_reason = "rel_tol"
             break
         # patience runs from the last new best, so only once a score is defined

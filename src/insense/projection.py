@@ -46,7 +46,7 @@ def _clamp_sum(ys, prefix, thresholds):
     return mid + (ys.size - hi)
 
 
-def _bisect_multiplier(y, m, steps=_BISECT_STEPS):
+def _bisect_multiplier(y, m):
     """Multiplier with sum(clamp(y + lam, 0, 1)) = m, by bisection.
 
     The clamped sum is 0 at lam = -max(y) and d at lam = 1 - min(y), and is
@@ -54,7 +54,7 @@ def _bisect_multiplier(y, m, steps=_BISECT_STEPS):
     """
     lo = -float(np.max(y))
     hi = 1.0 - float(np.min(y))
-    for _ in range(steps):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         if np.clip(y + mid, 0.0, 1.0).sum() < m:
             lo = mid

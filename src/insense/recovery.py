@@ -17,7 +17,7 @@ remaining trials share the constraint matrix and only the measurement
 changes, so a sweep builds one HiGHS model and re-solves it with new row
 bounds per trial, in support order: each solve is a dual simplex run
 warm-started from the basis the previous LP trial ended in, and
-BpConfig.max_iters caps the simplex iterations of each such run.
+_SIMPLEX_ITERATION_LIMIT caps the simplex iterations of each such run.
 
 The sweep sees the selected submatrix with its columns scaled to unit
 l2 norm.  Column coherence, the quantity the selectors optimize, only
@@ -38,7 +38,7 @@ from scipy.optimize._highspy import _core as _highs
 from scipy.sparse import csc_array
 
 from .exceptions import SolverFailureError
-from .metrics import as_sensing_matrix, as_whole_number, validate_subset
+from .metrics import as_integer, as_sensing_matrix, as_whole_number, validate_subset
 from .seeding import seeded_rng
 
 # Fuchs pre-screen of a sweep: supports per batched solve, the least
@@ -47,33 +47,29 @@ from .seeding import seeded_rng
 _CERT_CHUNK = 1024
 _CERT_MIN_EIG_RATIO = 1e-6
 _CERT_MARGIN = 1e-6
+# basis pursuit: the largest equality residual of an accepted solution,
+# the per-entry error of an exact recovery, and the simplex iterations of
+# one solve (inside a sweep, counted from the previous trial's basis)
+_FEAS_TOL = 1e-8
+_EXACT_TOL = 1e-4
+_SIMPLEX_ITERATION_LIMIT = 20000
 
 
 @dataclass
 class BpConfig:
-    """Solver and sweep settings.
+    """Sampling settings of a recovery sweep.
 
-    feas_tol bounds the equality residual of an accepted solution and
-    exact_tol the per-entry distance at which a trial counts as exact
-    recovery; the seed drives support sampling once (n choose k) exceeds
-    sample_cap.  max_iters caps the simplex iterations of one solve; inside
-    a sweep a solve starts from the previous trial's basis, so it counts
-    only the iterations needed to move on from there.
+    A sweep runs every size-k support while (n choose k) is at most
+    sample_cap, and a seeded uniform sample of sample_cap supports above
+    it.  Both must be integers (bools are rejected), sample_cap >= 1.
     """
 
-    feas_tol: float = 1e-8
-    exact_tol: float = 1e-4
-    max_iters: int = 20000
     seed: int = 0
     sample_cap: int = 10000
 
     def __post_init__(self):
-        if not 0.0 < self.feas_tol < self.exact_tol:
-            raise ValueError("need 0 < feas_tol < exact_tol")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.sample_cap < 1:
-            raise ValueError("sample_cap must be at least 1")
+        as_integer(self.seed, "seed")
+        as_integer(self.sample_cap, "sample_cap", least=1)
 
 
 class TrialOutcome(NamedTuple):
@@ -101,8 +97,8 @@ class RecoveryReport:
     solver_failures: int = 0
     per_trial: list[TrialOutcome] | None = None
 
-    def to_dict(self, include_trials=False):
-        out = {
+    def to_dict(self):
+        return {
             "total_trials": self.total_trials,
             "exact_count": self.exact_count,
             "accuracy_percent": self.accuracy_percent,
@@ -110,17 +106,6 @@ class RecoveryReport:
             "certified": self.certified,
             "solver_failures": self.solver_failures,
         }
-        if include_trials and self.per_trial is not None:
-            out["per_trial"] = [
-                {
-                    "support": list(t.support),
-                    "recovered": t.recovered,
-                    "residual": t.residual,
-                    "linf_error": t.linf_error,
-                }
-                for t in self.per_trial
-            ]
-        return out
 
 
 class _BasisPursuit:
@@ -131,7 +116,7 @@ class _BasisPursuit:
     from the basis the previous solve ended in.
     """
 
-    def __init__(self, a, cfg):
+    def __init__(self, a):
         m, n = a.shape
         mat = csc_array(np.hstack([a, -a]))
         lp = _highs.HighsLp()
@@ -146,10 +131,9 @@ class _BasisPursuit:
         lp.a_matrix_.index_ = mat.indices
         lp.a_matrix_.value_ = mat.data
         self._a = a
-        self._feas_tol = cfg.feas_tol
         self._highs = _highs._Highs()
         self._highs.setOptionValue("output_flag", False)
-        self._highs.setOptionValue("simplex_iteration_limit", int(cfg.max_iters))
+        self._highs.setOptionValue("simplex_iteration_limit", _SIMPLEX_ITERATION_LIMIT)
         self._highs.passModel(lp)
 
     def solve(self, y):
@@ -170,14 +154,14 @@ class _BasisPursuit:
             raise SolverFailureError(
                 f"basis pursuit LP failed: {highs.modelStatusToString(status)}", residual=residual
             )
-        if residual > self._feas_tol:
+        if residual > _FEAS_TOL:
             raise SolverFailureError(
                 f"basis pursuit solution infeasible (residual {residual:.3e})", residual=residual
             )
         return x, residual
 
 
-def solve_bp(phi_sub, y, cfg=None):
+def solve_bp(phi_sub, y):
     """Minimum-l1 solution of phi_sub @ x = y.
 
     Parameters
@@ -186,7 +170,6 @@ def solve_bp(phi_sub, y, cfg=None):
         Measurement rows (typically the selected submatrix).
     y : array_like, shape (m,)
         Noiseless measurements.
-    cfg : BpConfig, optional
 
     Returns
     -------
@@ -195,10 +178,11 @@ def solve_bp(phi_sub, y, cfg=None):
     Raises
     ------
     SolverFailureError
-        When the linear program fails or the returned point misses the
-        feasibility tolerance; carries the last residual when known.
+        When the linear program fails (for one, after
+        _SIMPLEX_ITERATION_LIMIT simplex iterations) or the returned point
+        leaves an equality residual above _FEAS_TOL (1e-8); carries the
+        last residual when known.
     """
-    cfg = cfg or BpConfig()
     a = np.asarray(phi_sub, dtype=float)
     y = np.asarray(y, dtype=float)
     if a.ndim != 2:
@@ -207,7 +191,7 @@ def solve_bp(phi_sub, y, cfg=None):
         raise ValueError(f"dimension mismatch: matrix {a.shape} vs measurement {y.shape}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(y))):
         raise ValueError("measurement matrix and measurements must be finite")
-    return _BasisPursuit(a, cfg).solve(y)[0]
+    return _BasisPursuit(a).solve(y)[0]
 
 
 def _unit_columns(a):
@@ -294,16 +278,16 @@ def _fuchs_certified(a, supports):
 def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
     """Exact-recovery percentage of unit-magnitude k-sparse signals.
 
-    For each support, plants x with ones on the support, measures
-    y = A @ x through the column-normalized submatrix A, and counts the
-    trial as exact when basis pursuit reproduces x to within exact_tol
-    in every entry.  A support with a Fuchs certificate (see
+    cfg (a BpConfig) picks the supports.  For each support, plants x with
+    ones on the support, measures y = A @ x through the column-normalized
+    submatrix A, and counts the trial as exact when basis pursuit
+    reproduces x to within _EXACT_TOL (1e-4) in every entry.  A support with a Fuchs certificate (see
     _fuchs_certified) is exact without an LP; its residual and error are
     reported as 0.0 and it is counted in `certified`.  Every other
     support goes to basis pursuit: a solver failure marks the trial as
     not recovered, is counted in solver_failures, and the sweep goes on.
     The LP trials share one warm-started model (see the module
-    docstring).
+    docstring).  per_trial holds every TrialOutcome when keep_trials.
 
     Returns
     -------
@@ -312,7 +296,9 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
     Raises
     ------
     ValueError
-        When k is not a whole number in [1, n) (bools are rejected).
+        When k is not a whole number in [1, n) (bools are rejected), and
+        InvalidSubsetError (a ValueError) when subset is not a strictly
+        increasing list of whole numbers in [0, d).
     """
     cfg = cfg or BpConfig()
     phi = as_sensing_matrix(phi)
@@ -325,7 +311,7 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
     a = _unit_columns(phi[idx])
     supports, sampled = _supports(n, k, cfg)
     certified = _fuchs_certified(a, np.array(supports))
-    bp = _BasisPursuit(a, cfg)
+    bp = _BasisPursuit(a)
     trials = [] if keep_trials else None
     exact = failures = 0
     for support, sure in zip(supports, certified.tolist()):
@@ -338,7 +324,7 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
             try:
                 xhat, residual = bp.solve(y)
                 err = float(np.max(np.abs(xhat - x)))
-                recovered = err <= cfg.exact_tol
+                recovered = err <= _EXACT_TOL
             except SolverFailureError as exc:
                 residual, err, recovered = exc.residual, math.inf, False
                 failures += 1

@@ -133,11 +133,18 @@ def test_config_rejects_unknown_method():
             configure(method, {})
     with pytest.raises(InsenseError, match="unknown options"):
         configure("fp-greedy", {"exhaustive_limit": 5})
+    # fixed constants of the line search and stop rule, no longer settings
+    for name in ("rel_tol", "ls_shrink", "ls_init_step"):
+        with pytest.raises(InsenseError, match="unknown options"):
+            configure("insense", {name: 0.5})
     for method, options in (
         ("insense", {"max_iters": 0}),
+        ("insense", {"max_iters": True}),
+        ("insense", {"restarts": 1.5}),
         ("insense", {"init": "zeros"}),
         ("exhaustive-mu-avg", {"exhaustive_limit": "abc"}),
         ("exhaustive-mu-avg", {"exhaustive_limit": 0}),
+        ("exhaustive-mu-avg", {"exhaustive_limit": True}),
     ):
         with pytest.raises(InsenseError, match="bad options"):
             configure(method, options)

@@ -342,17 +342,24 @@ def test_benchmark_config_errors_exit_1(capsys, tmp_path):
     variants.append(dict(base, selectors=[{"method": "warp"}]))
     variants.append(dict(base, selectors=[{"method": ["insense"]}]))
     variants.append(dict(base, selectors=[{"method": "random", "seed": 1}]))
-    # ls_c was an InsenseConfig field that nothing read; it is gone
-    variants.append(dict(base, selectors=[{"method": "insense", "ls_c": 1e-4}]))
+    # former InsenseConfig fields: ls_c was never read, the others are constants now
+    for name, value in (("ls_c", 1e-4), ("rel_tol", 1e-7), ("ls_shrink", 0.5),
+                        ("ls_init_step", 1.0)):
+        variants.append(dict(base, selectors=[{"method": "insense", name: value}]))
     # option values are checked before any cell runs
     variants.append(dict(base, selectors=[{"method": "insense", "max_iters": 0}]))
     variants.append(dict(base, selectors=[{"method": "insense", "max_iters": 2.5}]))
+    variants.append(dict(base, selectors=[{"method": "insense", "restarts": True}]))
     variants.append(dict(base, selectors=[{"method": "insense", "init": "zeros"}]))
     # json writes and reads these as NaN and Infinity
-    variants.append(dict(base, selectors=[{"method": "insense", "rel_tol": float("nan")}]))
-    variants.append(dict(base, selectors=[{"method": "insense", "ls_init_step": float("inf")}]))
+    variants.append(dict(base, selectors=[{"method": "insense", "eps1": float("nan")}]))
+    variants.append(dict(base, selectors=[{"method": "insense", "jitter_scale": float("inf")}]))
     variants.append(
         dict(base, selectors=[{"method": "exhaustive-mu-avg", "exhaustive_limit": "abc"}])
+    )
+    # true was read as a limit of 1
+    variants.append(
+        dict(base, selectors=[{"method": "exhaustive-mu-avg", "exhaustive_limit": True}])
     )
     variants.append(dict(base, selectors=[{"method": "random", "name": ["a"]}]))
     variants.append(
@@ -367,6 +374,8 @@ def test_benchmark_config_errors_exit_1(capsys, tmp_path):
     variants.append(dict(base, sparsities=[1, 1]))
     variants.append(dict(base, trials=[2]))
     variants.append(dict(base, sample_cap=0))
+    variants.append(dict(base, sample_cap=True))  # was a sweep of one trial
+    variants.append(dict(base, sample_cap=2.5))
     variants.append(dict(base, formats=5))
     variants.append(dict(base, output_dir=5))
     for i, cfg in enumerate(variants):

@@ -15,7 +15,7 @@ from insense import (
     mu_avg,
     mu_max,
 )
-from insense.metrics import as_sensing_matrix, validate_budget, validate_subset
+from insense.metrics import as_integer, as_sensing_matrix, validate_budget, validate_subset
 
 
 def _coherence_loop(phi):
@@ -117,6 +117,31 @@ def test_subset_validation_errors():
         validate_subset([0, 5], 5)
     with pytest.raises(InvalidSubsetError):
         validate_subset([-1], 5)
+    with pytest.raises(InvalidSubsetError):
+        validate_subset([[0, 1]], 5)
+
+
+def test_fractional_and_bool_indices_are_rejected():
+    phi = np.arange(12.0).reshape(4, 3)
+    # [0.5, 2.7] used to be truncated to rows 0 and 2
+    for bad in ([0.5, 2.7], np.array([0.0, 2.5]), [False, True], [0, True],
+                [np.bool_(False), 2], [0, np.nan], [0, np.inf], ["0", "2"]):
+        with pytest.raises(InvalidSubsetError):
+            extract_submatrix(phi, bad)
+    for whole in ([1.0, 3.0], np.array([1, 3], dtype=np.int32), [np.int64(1), 3]):
+        np.testing.assert_array_equal(extract_submatrix(phi, whole), phi[[1, 3]])
+        assert validate_subset(whole, 4).tolist() == [1, 3]
+
+
+def test_integer_settings_share_one_rule():
+    assert as_integer(3, "x") == 3
+    assert type(as_integer(np.int64(3), "x", least=3)) is int
+    assert as_integer(-2, "x") == -2
+    for bad in (True, np.bool_(True), 3.0, 2.5, np.nan, "3", None):
+        with pytest.raises(ValueError, match="x must be an integer"):
+            as_integer(bad, "x")
+    with pytest.raises(ValueError, match="x must be at least 1"):
+        as_integer(0, "x", least=1)
 
 
 def test_budget_validation_errors():

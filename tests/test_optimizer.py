@@ -180,11 +180,13 @@ def _uncoverable_matrix():
     return phi
 
 
-def test_stop_reasons():
+def test_stop_reasons(monkeypatch):
     phi = generate(EnsembleSpec("uniform-gaussian", d=200, n=200, seed=0, gaussian_rows=10))
     capped = run_insense(phi, 10, InsenseConfig(max_iters=1))
     assert (capped.stop_reason, capped.converged, capped.iterations) == ("max_iters", False, 1)
-    loose = run_insense(phi, 10, InsenseConfig(rel_tol=0.5))
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "_REL_TOL", 0.5)
+        loose = run_insense(phi, 10)
     assert (loose.stop_reason, loose.converged) == ("rel_tol", True)
     # the best rounding turns up at iteration 1; patience runs from there
     stalled = run_insense(phi, 10, InsenseConfig(init="uniform-plus-jitter", seed=0))
@@ -250,7 +252,7 @@ def test_bb_step_branches():
 )
 def test_subset_quality_holds_against_fixed_step_search(ensemble, cfg, fixed_step_mean):
     # fixed_step_mean: the mean subset mu_avg over seeds 0-9 (m=10) when
-    # every line search started at ls_init_step
+    # every line search started at _LS_INIT_STEP
     scores = [
         run_insense(generate(EnsembleSpec(**ensemble, seed=seed)), 10,
                     InsenseConfig(seed=seed, **cfg)).subset_mu_avg
@@ -396,15 +398,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         InsenseConfig(eps1=1e-10, eps2=1e-9)
     with pytest.raises(ValueError):
-        InsenseConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
         InsenseConfig(max_iters=0)
     with pytest.raises(ValueError):
         InsenseConfig(max_iters=2.5)
-    with pytest.raises(ValueError):
-        InsenseConfig(ls_shrink=1.0)
-    with pytest.raises(ValueError):
-        InsenseConfig(ls_init_step=0.0)
     with pytest.raises(ValueError):
         InsenseConfig(init="random")
     with pytest.raises(ValueError):
@@ -413,8 +409,14 @@ def test_config_validation():
         InsenseConfig(restarts=0)
     with pytest.raises(ValueError):
         InsenseConfig(restarts=1.5)
+    # bools are Integral and fractions used to truncate; both are refused
+    for name in ("max_iters", "restarts", "seed"):
+        for value in (True, np.bool_(True), 2.7, 2.0, "2"):
+            with pytest.raises(ValueError, match=name):
+                InsenseConfig(**{name: value})
+    assert InsenseConfig(max_iters=np.int64(3), restarts=np.int32(2), seed=-4).seed == -4
     # JSON configs can carry NaN and Infinity
-    for name in ("eps1", "eps2", "rel_tol", "ls_shrink", "ls_init_step", "jitter_scale"):
+    for name in ("eps1", "eps2", "jitter_scale"):
         for value in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=name):
                 InsenseConfig(**{name: value})

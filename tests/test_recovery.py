@@ -11,6 +11,7 @@ import insense.recovery as recovery
 from insense import (
     BpConfig,
     EnsembleSpec,
+    InvalidSubsetError,
     SolverFailureError,
     evaluate_recovery,
     generate,
@@ -106,14 +107,14 @@ def _sweep_vs_linprog(a, k, cfg):
     supports, _ = _supports(n, k, cfg)
     report = evaluate_recovery(a, np.arange(a.shape[0]), k, cfg, keep_trials=True)
     assert [t.support for t in report.per_trial] == supports
-    bp = recovery._BasisPursuit(a, cfg)
+    bp = recovery._BasisPursuit(a)
     close = 0
     for support, trial in zip(supports, report.per_trial):
         x = np.zeros(n)
         x[list(support)] = 1.0
         y = a @ x
         ref = _linprog_bp(a, y)
-        assert trial.recovered == (np.max(np.abs(ref - x)) <= cfg.exact_tol)
+        assert trial.recovered == (np.max(np.abs(ref - x)) <= recovery._EXACT_TOL)
         if np.max(np.abs(bp.solve(y)[0] - ref)) <= 1e-6:
             close += 1
         else:
@@ -198,12 +199,14 @@ def test_certificate_does_not_depend_on_the_chunk_size(monkeypatch):
     assert 0 < whole.sum() < len(supports)
 
 
-def test_iteration_limited_sweep_has_no_false_positives():
+def test_iteration_limited_sweep_has_no_false_positives(monkeypatch):
     # warm starts from the basis an iteration-limited solve left behind
     rng = np.random.default_rng(12)
     phi = rng.standard_normal((10, 40))
     rows = np.arange(10)
-    limited = evaluate_recovery(phi, rows, 2, BpConfig(max_iters=3), keep_trials=True)
+    with monkeypatch.context() as patch:
+        patch.setattr(recovery, "_SIMPLEX_ITERATION_LIMIT", 3)
+        limited = evaluate_recovery(phi, rows, 2, keep_trials=True)
     full = evaluate_recovery(phi, rows, 2, keep_trials=True)
     assert limited.solver_failures > 0 and full.solver_failures == 0
     for lim, ref in zip(limited.per_trial, full.per_trial):
@@ -234,14 +237,13 @@ def test_planted_sparse_signal_recovers():
 
 def test_l1_never_exceeds_planted_witness():
     rng = np.random.default_rng(2)
-    cfg = BpConfig()
     for _ in range(60):
         a = rng.standard_normal((6, 12))
         x = np.zeros(12)
         x[rng.choice(12, 3, replace=False)] = rng.choice([-1.0, 1.0], 3)
         y = a @ x
-        xhat = solve_bp(a, y, cfg)
-        assert np.linalg.norm(a @ xhat - y) <= cfg.feas_tol
+        xhat = solve_bp(a, y)
+        assert np.linalg.norm(a @ xhat - y) <= recovery._FEAS_TOL
         assert np.abs(xhat).sum() <= np.abs(x).sum() + 1e-6
 
 
@@ -273,11 +275,12 @@ def test_solver_input_errors():
         solve_bp(np.eye(2), np.array([np.inf, 1.0]))
 
 
-def test_iteration_limit_is_a_solver_failure():
+def test_iteration_limit_is_a_solver_failure(monkeypatch):
     rng = np.random.default_rng(1)
     a = rng.standard_normal((10, 20))
+    monkeypatch.setattr(recovery, "_SIMPLEX_ITERATION_LIMIT", 1)
     with pytest.raises(SolverFailureError, match="Iteration limit"):
-        solve_bp(a, a @ rng.standard_normal(20), BpConfig(max_iters=1))
+        solve_bp(a, a @ rng.standard_normal(20))
 
 
 def test_inconsistent_system_is_a_solver_failure():
@@ -400,23 +403,36 @@ def test_vectorised_unrank_matches_one_rank_at_a_time(n, k, draws):
 
 def test_report_serialization():
     report = evaluate_recovery(np.eye(3), np.arange(3), 1, keep_trials=True)
-    payload = report.to_dict(include_trials=True)
+    payload = report.to_dict()
     assert payload["accuracy_percent"] == 100.0
     assert payload["exact_count"] == payload["total_trials"] == 3
-    assert len(payload["per_trial"]) == 3
     assert payload["solver_failures"] == 0
     assert payload["certified"] == report.certified == 3
-    assert all(t["residual"] == t["linf_error"] == 0.0 for t in payload["per_trial"])
-    assert "per_trial" not in report.to_dict()
+    assert "per_trial" not in payload
+    assert [t.support for t in report.per_trial] == [(0,), (1,), (2,)]
+    assert all(t.recovered and t.residual == t.linf_error == 0.0 for t in report.per_trial)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        BpConfig(feas_tol=1e-3, exact_tol=1e-4)
-    with pytest.raises(ValueError):
-        BpConfig(max_iters=0)
-    with pytest.raises(ValueError):
         BpConfig(sample_cap=0)
+    # bools are Integral and fractions used to fail mid-sweep or truncate
+    for name in ("seed", "sample_cap"):
+        for value in (True, np.bool_(True), 2.5, 2.0, "2"):
+            with pytest.raises(ValueError, match=name):
+                BpConfig(**{name: value})
+    assert BpConfig(seed=np.int64(-3), sample_cap=np.int32(5)).sample_cap == 5
+
+
+def test_fractional_subset_is_rejected():
+    # was truncated to rows 0, 1 and 2
+    with pytest.raises(InvalidSubsetError):
+        evaluate_recovery(np.eye(4), [0.2, 1.9, 2.5], 1)
+    with pytest.raises(InvalidSubsetError):
+        evaluate_recovery(np.eye(4), [False, True, 2], 1)
+    whole = evaluate_recovery(np.eye(4), [0.0, 1.0, 2.0], 1, keep_trials=True)
+    ref = evaluate_recovery(np.eye(4), [0, 1, 2], 1, keep_trials=True)
+    assert whole == ref
 
 
 def test_sparsity_bounds():
