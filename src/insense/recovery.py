@@ -8,12 +8,17 @@ k-sparse signal on every size-k support (or a seeded sample of them when
 there are too many), measure it through the selected rows, and count the
 supports that basis pursuit reproduces exactly.
 
-Before any LP, a sweep screens all of its supports at once with the
-Fuchs certificate (IEEE TIT 2004): when w = A_S (A_S'A_S)^-1 1 keeps
-|a_l' w| < 1 off the support, 1_S is the unique basis pursuit solution,
-and the trial counts as exact without an LP (its residual and error are
-reported as 0.0; RecoveryReport.certified counts these trials).  The
-remaining trials share the constraint matrix and only the measurement
+Before any LP, a sweep screens all of its supports at once with dual
+certificates (see _dual_screen).  A support whose dual set {w : A_S'w = 1}
+holds a w with |a_l' w| < 1 off the support has 1_S as the unique basis
+pursuit solution: the trial counts as exact without an LP (residual and
+error 0.0, counted in RecoveryReport.certified).  The screen starts from
+the Fuchs point w = A_S (A_S'A_S)^-1 1 (IEEE TIT 2004) and moves on by
+Lawson reweighting; the same weights give a lower bound on the least
+max |a_l' w| over the dual set, and a bound above 1 proves 1_S is no
+basis pursuit solution: the trial counts as not recovered without an LP
+(residual and error NaN, counted in RecoveryReport.refuted).  The
+undecided trials share the constraint matrix and only the measurement
 changes, so a sweep builds one HiGHS model and re-solves it with new row
 bounds per trial, in support order: each solve is a dual simplex run
 warm-started from the basis the previous LP trial ended in, and
@@ -41,12 +46,14 @@ from .exceptions import SolverFailureError
 from .metrics import as_integer, as_sensing_matrix, as_whole_number, validate_subset
 from .seeding import seeded_rng
 
-# Fuchs pre-screen of a sweep: supports per batched solve, the least
-# eigenvalue ratio of A_S'A_S that is solved at all, and the gap below 1
-# that every off-support correlation must keep
+# dual screen of a sweep: supports per batched solve, the least eigenvalue
+# ratio of A_S'A_S (and of A A') that is solved at all, the gap to 1 that a
+# certificate or a refutation must keep, and the Lawson steps after the
+# Fuchs point
 _CERT_CHUNK = 1024
 _CERT_MIN_EIG_RATIO = 1e-6
 _CERT_MARGIN = 1e-6
+_CERT_ITERS = 30
 # basis pursuit: the largest equality residual of an accepted solution,
 # the per-entry error of an exact recovery, and the simplex iterations of
 # one solve (inside a sweep, counted from the previous trial's basis)
@@ -85,8 +92,10 @@ class TrialOutcome(NamedTuple):
 class RecoveryReport:
     """Aggregate sweep outcome; per_trial is filled only on request.
 
-    certified counts the exact trials decided by the Fuchs certificate
-    without an LP, solver_failures the LP trials whose solve failed.
+    certified counts the trials the dual screen proved exact and refuted
+    those it proved not exact, both without an LP; solver_failures counts
+    the LP trials whose solve failed, and simplex_iterations sums the
+    simplex iterations HiGHS reported over the sweep's LP trials.
     """
 
     total_trials: int
@@ -94,7 +103,9 @@ class RecoveryReport:
     accuracy_percent: float
     sampled: bool
     certified: int = 0
+    refuted: int = 0
     solver_failures: int = 0
+    simplex_iterations: int = 0
     per_trial: list[TrialOutcome] | None = None
 
     def to_dict(self):
@@ -104,7 +115,9 @@ class RecoveryReport:
             "accuracy_percent": self.accuracy_percent,
             "sampled": self.sampled,
             "certified": self.certified,
+            "refuted": self.refuted,
             "solver_failures": self.solver_failures,
+            "simplex_iterations": self.simplex_iterations,
         }
 
 
@@ -135,6 +148,7 @@ class _BasisPursuit:
         self._highs.setOptionValue("output_flag", False)
         self._highs.setOptionValue("simplex_iteration_limit", _SIMPLEX_ITERATION_LIMIT)
         self._highs.passModel(lp)
+        self.simplex_iterations = 0
 
     def solve(self, y):
         """Minimum-l1 x with a @ x = y, and its residual; raises SolverFailureError."""
@@ -142,6 +156,7 @@ class _BasisPursuit:
         for row, value in enumerate(y.tolist()):
             highs.changeRowBounds(row, value, value)
         highs.run()
+        self.simplex_iterations += highs.getInfo().simplex_iteration_count
         status = highs.getModelStatus()
         solution = highs.getSolution()
         x, residual = None, float("nan")
@@ -245,34 +260,96 @@ def _supports(n, k, cfg):
     return list(map(tuple, _unrank(np.sort(ranks), n, k).tolist())), True
 
 
-def _fuchs_certified(a, supports):
-    """Which supports carry a Fuchs certificate of exact recovery.
+def _dual_screen(a, supports):
+    """Decide from dual certificates whether basis pursuit recovers 1_S.
 
-    For a support S with A_S' A_S well conditioned, w = A_S (A_S' A_S)^-1 1
-    is a dual point with A_S' w = 1; |a_l' w| < 1 for every l outside S
-    proves that 1_S is the unique minimum-l1 point of {x : A x = A 1_S}
-    (Fuchs, IEEE TIT 2004), so basis pursuit recovers it exactly.
-    Ill-conditioned supports (zero or repeated columns, k > m) are never
-    certified.  supports is an int array of shape (t, k); the stacked
-    k x k solves run over chunks of _CERT_CHUNK supports, so memory stays
-    O(_CERT_CHUNK n).
+    Returns an int8 verdict per support: 1 when 1_S is the unique
+    minimum-l1 point of {x : A x = A 1_S}, -1 when it is not a minimum-l1
+    point at all, 0 when the screen cannot tell (the sweep then runs the
+    LP).  Both verdicts rest on the dual set {w : A_S' w = 1}: 1_S is a
+    minimizer exactly when L = min_w max_{l not in S} |a_l' w| <= 1, and
+    the unique one when a w with every |a_l' w| < 1 exists (Zhang, Yin &
+    Cheng 2015).
+
+    Iterate 0 is the Fuchs point w = A_S (A_S' A_S)^-1 1 (Fuchs, IEEE TIT
+    2004).  Up to _CERT_ITERS Lawson steps follow on the supports still
+    undecided: with weights omega >= 0 on the off-support columns summing
+    to 1, M = A diag(omega) A' + delta I and w = M^-1 A_S lam, lam =
+    (A_S' M^-1 A_S)^-1 1, minimizes sum omega_l (a_l' w)^2 + delta |w|^2
+    over the dual set; the weights then become omega_l |a_l' w|,
+    renormalized.  A computed w certifies when max |a_l' w| off the
+    support, plus the distance ||A_S' w - 1|| / sigma_min(A_S) to a point
+    of the dual set, stays below 1 - _CERT_MARGIN.  It refutes when the
+    weak-duality bound D = 2 1'lam - sum omega_l (a_l' w)^2 - |r|^2 /
+    delta, r = A diag(omega) A' w - A_S lam, exceeds (1 + _CERT_MARGIN)^2:
+    D lower-bounds the weighted minimum, which lower-bounds L^2 up to
+    delta |w_L|^2 <= delta n / lambda_min(A A') when L <= 1, and delta is
+    _CERT_MARGIN lambda_min(A A') / n, so D > (1 + _CERT_MARGIN)^2 forces
+    L > 1.  An inexact solve can only make a verdict less likely.
+
+    A support with an all-zero column is refuted: basis pursuit leaves
+    that entry at 0.  Other supports whose A_S' A_S has an eigenvalue
+    ratio below _CERT_MIN_EIG_RATIO (repeated columns, k > m) stay
+    undecided, and so does every support past iterate 0 when A A' itself
+    is that ill-conditioned.  supports is an int array of shape (t, k);
+    the supports are screened in chunks that keep the per-chunk arrays at
+    O(_CERT_CHUNK n) entries, next to one n x m^2 table of the outer
+    products a_l a_l', so M comes from one (chunk, n) @ (n, m^2) product.
     """
+    m, n = a.shape
     t, k = supports.shape
-    certified = np.zeros(t, dtype=bool)
+    verdict = np.zeros(t, dtype=np.int8)
     cols = a.T
-    for lo in range(0, t, _CERT_CHUNK):
-        chunk = supports[lo:lo + _CERT_CHUNK]
-        a_s = cols[chunk]  # (c, k, m)
-        gram = a_s @ a_s.transpose(0, 2, 1)
-        eig = np.linalg.eigvalsh(gram)
-        ok = eig[:, 0] > _CERT_MIN_EIG_RATIO * eig[:, -1]
-        gram[~ok] = np.eye(k)  # keep the batched solve nonsingular; verdict already False
-        coef = np.linalg.solve(gram, np.ones((len(chunk), k, 1)))
-        w = (a_s * coef).sum(axis=1)  # (c, m)
-        corr = np.abs(w @ a)
-        np.put_along_axis(corr, chunk, 0.0, axis=1)
-        certified[lo:lo + len(chunk)] = ok & (corr.max(axis=1) < 1.0 - _CERT_MARGIN)
-    return certified
+    zero = ~cols.any(axis=1)
+    eig_aa = np.linalg.eigvalsh(a @ a.T)
+    lawson = eig_aa[0] > _CERT_MIN_EIG_RATIO * eig_aa[-1]
+    delta = _CERT_MARGIN * eig_aa[0] / n
+    ridge = delta * np.eye(m)
+    outer = (cols[:, :, None] * cols[:, None, :]).reshape(n, m * m)
+    size = max(1, _CERT_CHUNK * n // max(n, m * m))
+    for lo in range(0, t, size):
+        sup = supports[lo:lo + size]
+        v = verdict[lo:lo + size]
+        v[zero[sup].any(axis=1)] = -1
+        a_s = cols[sup]  # (c, k, m)
+        eig = np.linalg.eigvalsh(a_s @ a_s.transpose(0, 2, 1))
+        live = np.flatnonzero(eig[:, 0] > _CERT_MIN_EIG_RATIO * eig[:, -1])
+        sup, a_s, root = sup[live], a_s[live], np.sqrt(eig[live, 0])
+        x, mat = a_s.transpose(0, 2, 1), None  # iterate 0: M = I
+        for _ in range(_CERT_ITERS + 1):
+            lam = np.linalg.solve(a_s @ x, np.ones((len(live), k, 1)))
+            w = (x @ lam)[:, :, 0]
+            lam = lam[:, :, 0]
+            corr = w @ a
+            on = (np.arange(len(live))[:, None], sup)
+            slack = corr[on] - 1.0
+            np.abs(corr, out=corr)
+            corr[on] = 0.0
+            # the distance from w to the dual set adds at most this to any |a_l' w|
+            sure = corr.max(axis=1) + np.sqrt((slack * slack).sum(axis=1)) / root
+            sure = sure < 1.0 - _CERT_MARGIN
+            if mat is None:
+                wrong = np.zeros_like(sure)
+                weights = corr  # the first Lawson weights follow the Fuchs point
+            else:
+                # A diag(omega) A' w; its dot with w is sum omega_l (a_l' w)^2
+                mw = (mat @ w[:, :, None])[:, :, 0] - delta * w
+                r = mw - (a_s * lam[:, :, None]).sum(axis=1)
+                bound = 2.0 * lam.sum(axis=1) - (w * mw).sum(axis=1) - (r * r).sum(axis=1) / delta
+                wrong = ~sure & (bound > (1.0 + _CERT_MARGIN) ** 2)
+                weights *= corr
+            v[live[sure]] = 1
+            v[live[wrong]] = -1
+            keep = ~(sure | wrong)
+            if not lawson or not keep.any():
+                break
+            live, sup, a_s, root = live[keep], sup[keep], a_s[keep], root[keep]
+            weights = weights[keep]
+            weights /= weights.sum(axis=1, keepdims=True)
+            mat = (weights @ outer).reshape(-1, m, m)
+            mat += ridge
+            x = np.linalg.solve(mat, a_s.transpose(0, 2, 1))
+    return verdict
 
 
 def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
@@ -281,13 +358,15 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
     cfg (a BpConfig) picks the supports.  For each support, plants x with
     ones on the support, measures y = A @ x through the column-normalized
     submatrix A, and counts the trial as exact when basis pursuit
-    reproduces x to within _EXACT_TOL (1e-4) in every entry.  A support with a Fuchs certificate (see
-    _fuchs_certified) is exact without an LP; its residual and error are
-    reported as 0.0 and it is counted in `certified`.  Every other
-    support goes to basis pursuit: a solver failure marks the trial as
-    not recovered, is counted in solver_failures, and the sweep goes on.
-    The LP trials share one warm-started model (see the module
-    docstring).  per_trial holds every TrialOutcome when keep_trials.
+    reproduces x to within _EXACT_TOL (1e-4) in every entry.  The dual
+    screen (see _dual_screen) decides most supports without an LP: a
+    certified one is exact, with residual and error reported as 0.0; a
+    refuted one is not, with residual and error NaN because no LP ran.
+    Only the undecided supports go to basis pursuit: a solver failure
+    marks the trial as not recovered (error inf), is counted in
+    solver_failures, and the sweep goes on.  The LP trials share one
+    warm-started model (see the module docstring).  per_trial holds every
+    TrialOutcome when keep_trials.
 
     Returns
     -------
@@ -310,13 +389,14 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
     k = whole
     a = _unit_columns(phi[idx])
     supports, sampled = _supports(n, k, cfg)
-    certified = _fuchs_certified(a, np.array(supports))
+    verdicts = _dual_screen(a, np.array(supports))
     bp = _BasisPursuit(a)
     trials = [] if keep_trials else None
     exact = failures = 0
-    for support, sure in zip(supports, certified.tolist()):
-        if sure:
-            residual, err, recovered = 0.0, 0.0, True
+    for support, verdict in zip(supports, verdicts.tolist()):
+        if verdict:
+            recovered = verdict > 0
+            residual = err = 0.0 if recovered else math.nan
         else:
             x = np.zeros(n)
             x[list(support)] = 1.0
@@ -337,7 +417,9 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
         exact_count=exact,
         accuracy_percent=100.0 * exact / total,
         sampled=sampled,
-        certified=int(certified.sum()),
+        certified=int(np.count_nonzero(verdicts > 0)),
+        refuted=int(np.count_nonzero(verdicts < 0)),
         solver_failures=failures,
+        simplex_iterations=bp.simplex_iterations,
         per_trial=trials,
     )

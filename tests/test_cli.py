@@ -109,7 +109,17 @@ def test_select_metrics_recover_round_trip(capsys, tmp_path):
     assert 0.0 <= recovery["accuracy_percent"] <= 100.0
     # k=1 and no two columns parallel: every trial carries a certificate
     assert recovery["certified"] == recovery["exact_count"] == 10
-    assert recovery["solver_failures"] == 0
+    assert recovery["refuted"] == recovery["solver_failures"] == 0
+    assert recovery["simplex_iterations"] == 0  # no trial reached an LP
+
+    # some trials of this sweep are neither certified nor refuted
+    code, recovery = _run(
+        capsys, ["recover", "--ensemble", "gaussian", "--d", "10", "--n", "40", "--k", "2"])
+    assert code == 0
+    decided = recovery["certified"] + recovery["refuted"]
+    assert recovery["certified"] > 0 and recovery["refuted"] > 0
+    assert decided < recovery["total_trials"] == 780
+    assert recovery["simplex_iterations"] > 0 and recovery["solver_failures"] == 0
 
 
 def test_select_random_is_reproducible(capsys, tmp_path):

@@ -140,11 +140,18 @@ def _identity_gaussian_selection():
     return phi, run_insense(phi, 10).subset
 
 
+def _uniform_gaussian_selection():
+    phi = generate(EnsembleSpec("uniform-gaussian", d=200, n=200, seed=0, gaussian_rows=10))
+    return phi, run_insense(phi, 10).subset
+
+
 _SCREENED_SWEEPS = {
     "gaussian-10x40-k2": lambda: (_gaussian_10x40(), np.arange(10), 2, BpConfig()),
     "gaussian-10x40-k3-sampled": lambda: (_gaussian_10x40(), np.arange(10), 3,
                                           BpConfig(seed=5, sample_cap=300)),
     "identity-gaussian-100x50-k2": lambda: (*_identity_gaussian_selection(), 2, BpConfig()),
+    "uniform-gaussian-200x200-k2-sampled": lambda: (*_uniform_gaussian_selection(), 2,
+                                                    BpConfig(seed=3, sample_cap=1000)),
 }
 
 
@@ -152,23 +159,28 @@ _SCREENED_SWEEPS = {
 def test_certified_sweep_matches_unscreened_verdicts(case, monkeypatch):
     phi, rows, k, cfg = _SCREENED_SWEEPS[case]()
     screened = evaluate_recovery(phi, rows, k, cfg, keep_trials=True)
-    monkeypatch.setattr(recovery, "_fuchs_certified",
-                        lambda a, supports: np.zeros(len(supports), dtype=bool))
+    monkeypatch.setattr(recovery, "_dual_screen",
+                        lambda a, supports: np.zeros(len(supports), dtype=np.int8))
     plain = evaluate_recovery(phi, rows, k, cfg, keep_trials=True)
-    assert plain.certified == 0
-    assert 0 < screened.certified < screened.total_trials
+    assert plain.certified == plain.refuted == 0
+    assert screened.certified > 0 and screened.refuted > 0
+    assert screened.certified + screened.refuted <= screened.total_trials
     assert screened.exact_count == plain.exact_count
     assert screened.solver_failures == plain.solver_failures == 0
+    assert screened.simplex_iterations < plain.simplex_iterations
     for got, ref in zip(screened.per_trial, plain.per_trial, strict=True):
         assert got.support == ref.support
         assert got.recovered == ref.recovered, got.support
 
 
-@pytest.mark.parametrize("k, cfg", [(2, BpConfig()), (3, BpConfig(seed=5, sample_cap=300))])
+_ORACLE_SWEEPS = [(2, BpConfig()), (3, BpConfig(seed=5, sample_cap=300))]
+
+
+@pytest.mark.parametrize("k, cfg", _ORACLE_SWEEPS)
 def test_certified_trials_have_a_unique_bp_optimum(k, cfg):
     a = _gaussian_10x40()
     supports = np.array(_supports(40, k, cfg)[0])
-    certified = recovery._fuchs_certified(a, supports)
+    certified = recovery._dual_screen(a, supports) > 0
     assert certified.any()
     for support in supports[certified]:
         x = np.zeros(40)
@@ -176,27 +188,49 @@ def test_certified_trials_have_a_unique_bp_optimum(k, cfg):
         assert _unique_bp_optimum(a, x), support
 
 
+@pytest.mark.parametrize("k, cfg", _ORACLE_SWEEPS)
+def test_refuted_trials_have_a_smaller_l1_optimum(k, cfg):
+    # a refutation claims 1_S is not a minimizer: cold linprog must beat ||1_S||_1 = k
+    a = _gaussian_10x40()
+    supports = np.array(_supports(40, k, cfg)[0])
+    refuted = recovery._dual_screen(a, supports) < 0
+    assert refuted.any()
+    for support in supports[refuted]:
+        x = np.zeros(40)
+        x[support] = 1.0
+        assert np.abs(_linprog_bp(a, a @ x)).sum() < k - 1e-7, support
+
+
 def test_degenerate_supports_are_never_certified():
     a = recovery._unit_columns(np.random.default_rng(13).standard_normal((6, 10)))
     a[:, 3] = a[:, 1]  # a repeated column
     a[:, 5] = 0.0  # a zero column
     supports = np.array(list(itertools.combinations(range(10), 2)))
-    certified = recovery._fuchs_certified(a, supports)
-    degenerate = np.array([{1, 3} <= set(s) or 5 in s for s in supports.tolist()])
-    assert not certified[degenerate].any()
-    assert certified[~degenerate].any()
+    verdicts = recovery._dual_screen(a, supports)
+    zero = np.array([5 in s for s in supports.tolist()])
+    repeated = np.array([{1, 3} <= set(s) for s in supports.tolist()])
+    assert (verdicts[zero] == -1).all()
+    assert (verdicts[repeated] == 0).all()
+    assert (verdicts[~zero & ~repeated] == 1).any()
+    for support in supports[zero]:
+        # basis pursuit leaves the zero column's entry at 0
+        x = np.zeros(10)
+        x[support] = 1.0
+        assert _linprog_bp(a, a @ x)[5] == 0.0
     # more support columns than rows: A_S'A_S is singular
     wide = np.array(list(itertools.combinations(range(10), 7)))
-    assert not recovery._fuchs_certified(a, wide).any()
+    verdicts = recovery._dual_screen(a, wide)
+    zero = np.array([5 in s for s in wide.tolist()])
+    assert (verdicts[zero] == -1).all() and (verdicts[~zero] == 0).all()
 
 
 def test_certificate_does_not_depend_on_the_chunk_size(monkeypatch):
     a = _gaussian_10x40()
     supports = np.array(list(itertools.combinations(range(40), 2)))
-    whole = recovery._fuchs_certified(a, supports)
+    whole = recovery._dual_screen(a, supports)
     monkeypatch.setattr(recovery, "_CERT_CHUNK", 7)
-    np.testing.assert_array_equal(recovery._fuchs_certified(a, supports), whole)
-    assert 0 < whole.sum() < len(supports)
+    np.testing.assert_array_equal(recovery._dual_screen(a, supports), whole)
+    assert set(whole.tolist()) == {-1, 0, 1}
 
 
 def test_iteration_limited_sweep_has_no_false_positives(monkeypatch):
@@ -340,21 +374,27 @@ def test_sampled_supports_are_distinct_and_sorted():
 
 
 def test_solver_failure_marks_trial_and_continues(monkeypatch):
-    # a sweep whose uncertified trials reach the LP, and every LP fails
+    # a sweep whose undecided trials reach the LP, and every LP fails
     def boom(self, y):
         raise SolverFailureError("forced failure", residual=1.0)
 
     monkeypatch.setattr(recovery._BasisPursuit, "solve", boom)
     phi = np.random.default_rng(12).standard_normal((10, 40))
+    phi[:, 3] = phi[:, 1]  # supports holding one copy cannot be decided without an LP
     report = evaluate_recovery(phi, np.arange(10), 2, keep_trials=True)
-    certified = recovery._fuchs_certified(
+    verdicts = recovery._dual_screen(
         recovery._unit_columns(phi), np.array([t.support for t in report.per_trial]))
-    assert report.certified == certified.sum()
-    assert 0 < report.solver_failures == report.total_trials - report.certified
+    assert report.certified == np.count_nonzero(verdicts > 0)
+    assert report.refuted == np.count_nonzero(verdicts < 0)
+    assert 0 < report.solver_failures == report.total_trials - report.certified - report.refuted
     assert report.exact_count == report.certified
-    for trial, sure in zip(report.per_trial, certified):
-        if sure:
+    assert report.simplex_iterations == 0
+    for trial, verdict in zip(report.per_trial, verdicts):
+        if verdict > 0:
             assert trial.recovered and trial.residual == trial.linf_error == 0.0
+        elif verdict < 0:
+            assert not trial.recovered
+            assert math.isnan(trial.residual) and math.isnan(trial.linf_error)
         else:
             assert not trial.recovered and math.isinf(trial.linf_error)
             assert trial.residual == 1.0
@@ -408,9 +448,18 @@ def test_report_serialization():
     assert payload["exact_count"] == payload["total_trials"] == 3
     assert payload["solver_failures"] == 0
     assert payload["certified"] == report.certified == 3
+    assert payload["refuted"] == report.refuted == 0
+    assert payload["simplex_iterations"] == report.simplex_iterations == 0
     assert "per_trial" not in payload
     assert [t.support for t in report.per_trial] == [(0,), (1,), (2,)]
     assert all(t.recovered and t.residual == t.linf_error == 0.0 for t in report.per_trial)
+    # a sweep with LP trials: the iterations of every HiGHS run are summed
+    phi = np.random.default_rng(12).standard_normal((10, 40))
+    phi[:, 3] = phi[:, 1]
+    report = evaluate_recovery(phi, np.arange(10), 2)
+    payload = report.to_dict()
+    assert payload["refuted"] == report.refuted > 0
+    assert payload["simplex_iterations"] == report.simplex_iterations > 0
 
 
 def test_config_validation():
