@@ -13,16 +13,17 @@ certificates (see _dual_screen).  A support whose dual set {w : A_S'w = 1}
 holds a w with |a_l' w| < 1 off the support has 1_S as the unique basis
 pursuit solution: the trial counts as exact without an LP (residual and
 error 0.0, counted in RecoveryReport.certified).  The screen starts from
-the Fuchs point w = A_S (A_S'A_S)^-1 1 (IEEE TIT 2004) and moves on by
-Lawson reweighting; the same weights give a lower bound on the least
-max |a_l' w| over the dual set, and a bound above 1 proves 1_S is no
-basis pursuit solution: the trial counts as not recovered without an LP
-(residual and error NaN, counted in RecoveryReport.refuted).  The
-undecided trials share the constraint matrix and only the measurement
-changes, so a sweep builds one HiGHS model and re-solves it with new row
-bounds per trial, in support order: each solve is a dual simplex run
-warm-started from the basis the previous LP trial ended in, and
-_SIMPLEX_ITERATION_LIMIT caps the simplex iterations of each such run.
+the Fuchs point w = A_S (A_S'A_S)^-1 1 (IEEE TIT 2004) and, on at most
+_CERT_MAX_ROWS rows, moves on by Lawson reweighting; the same weights
+give a lower bound on the least max |a_l' w| over the dual set, and a
+bound above 1 proves 1_S is no basis pursuit solution: the trial counts
+as not recovered without an LP (residual and error NaN, counted in
+RecoveryReport.refuted).  The undecided trials share the constraint
+matrix and only the measurement changes, so a sweep builds one HiGHS
+model and re-solves it with new row bounds per trial, in support order:
+each solve is a dual simplex run warm-started from the basis the
+previous LP trial ended in, and _SIMPLEX_ITERATION_LIMIT caps the
+simplex iterations of each such run.
 
 The sweep sees the selected submatrix with its columns scaled to unit
 l2 norm.  Column coherence, the quantity the selectors optimize, only
@@ -48,12 +49,13 @@ from .seeding import seeded_rng
 
 # dual screen of a sweep: supports per batched solve, the least eigenvalue
 # ratio of A_S'A_S (and of A A') that is solved at all, the gap to 1 that a
-# certificate or a refutation must keep, and the Lawson steps after the
-# Fuchs point
-_CERT_CHUNK = 1024
+# certificate or a refutation must keep, the Lawson steps after the Fuchs
+# point, and the most rows for which those steps run
+_CERT_CHUNK = 512
 _CERT_MIN_EIG_RATIO = 1e-6
 _CERT_MARGIN = 1e-6
 _CERT_ITERS = 30
+_CERT_MAX_ROWS = 32
 # basis pursuit: the largest equality residual of an accepted solution,
 # the per-entry error of an exact recovery, and the simplex iterations of
 # one solve (inside a sweep, counted from the previous trial's basis)
@@ -291,25 +293,29 @@ def _dual_screen(a, supports):
     that entry at 0.  Other supports whose A_S' A_S has an eigenvalue
     ratio below _CERT_MIN_EIG_RATIO (repeated columns, k > m) stay
     undecided, and so does every support past iterate 0 when A A' itself
-    is that ill-conditioned.  supports is an int array of shape (t, k);
-    the supports are screened in chunks that keep the per-chunk arrays at
-    O(_CERT_CHUNK n) entries, next to one n x m^2 table of the outer
-    products a_l a_l', so M comes from one (chunk, n) @ (n, m^2) product.
+    is that ill-conditioned.  supports is an int array of shape (t, k),
+    screened in chunks of _CERT_CHUNK supports.  The Lawson steps run
+    only when m <= _CERT_MAX_ROWS: M then comes from one (chunk, n) @
+    (n, m^2) product with a table of the outer products a_l a_l', so
+    neither that table nor the per-chunk arrays grow past
+    O(_CERT_CHUNK max(n, _CERT_MAX_ROWS^2)) entries.  With more rows the
+    screen keeps the verdicts of iterate 0.
     """
     m, n = a.shape
     t, k = supports.shape
     verdict = np.zeros(t, dtype=np.int8)
     cols = a.T
     zero = ~cols.any(axis=1)
-    eig_aa = np.linalg.eigvalsh(a @ a.T)
-    lawson = eig_aa[0] > _CERT_MIN_EIG_RATIO * eig_aa[-1]
-    delta = _CERT_MARGIN * eig_aa[0] / n
-    ridge = delta * np.eye(m)
-    outer = (cols[:, :, None] * cols[:, None, :]).reshape(n, m * m)
-    size = max(1, _CERT_CHUNK * n // max(n, m * m))
-    for lo in range(0, t, size):
-        sup = supports[lo:lo + size]
-        v = verdict[lo:lo + size]
+    lawson = m <= _CERT_MAX_ROWS
+    if lawson:
+        eig_aa = np.linalg.eigvalsh(a @ a.T)
+        lawson = eig_aa[0] > _CERT_MIN_EIG_RATIO * eig_aa[-1]
+        delta = _CERT_MARGIN * eig_aa[0] / n
+        ridge = delta * np.eye(m)
+        outer = (cols[:, :, None] * cols[:, None, :]).reshape(n, m * m)
+    for lo in range(0, t, _CERT_CHUNK):
+        sup = supports[lo:lo + _CERT_CHUNK]
+        v = verdict[lo:lo + _CERT_CHUNK]
         v[zero[sup].any(axis=1)] = -1
         a_s = cols[sup]  # (c, k, m)
         eig = np.linalg.eigvalsh(a_s @ a_s.transpose(0, 2, 1))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,13 +165,50 @@ def test_certified_sweep_matches_unscreened_verdicts(case, monkeypatch):
     plain = evaluate_recovery(phi, rows, k, cfg, keep_trials=True)
     assert plain.certified == plain.refuted == 0
     assert screened.certified > 0 and screened.refuted > 0
-    assert screened.certified + screened.refuted <= screened.total_trials
+    assert screened.certified + screened.refuted < screened.total_trials
     assert screened.exact_count == plain.exact_count
     assert screened.solver_failures == plain.solver_failures == 0
     assert screened.simplex_iterations < plain.simplex_iterations
     for got, ref in zip(screened.per_trial, plain.per_trial, strict=True):
         assert got.support == ref.support
         assert got.recovered == ref.recovered, got.support
+
+
+def test_full_row_sweep_keeps_the_fuchs_verdicts(monkeypatch):
+    # all 40 rows, as a recover run without a selection: past _CERT_MAX_ROWS
+    # the screen stops at iterate 0 and the rest goes to the LP
+    phi = np.random.default_rng(21).standard_normal((40, 80))
+    rows, k, cfg = np.arange(40), 10, BpConfig(seed=2, sample_cap=300)
+    assert len(rows) > recovery._CERT_MAX_ROWS
+    supports = np.array(_supports(80, k, cfg)[0])
+    verdicts = recovery._dual_screen(recovery._unit_columns(phi), supports)
+    with monkeypatch.context() as patch:
+        patch.setattr(recovery, "_CERT_ITERS", 0)
+        np.testing.assert_array_equal(
+            recovery._dual_screen(recovery._unit_columns(phi), supports), verdicts)
+    screened = evaluate_recovery(phi, rows, k, cfg, keep_trials=True)
+    monkeypatch.setattr(recovery, "_dual_screen",
+                        lambda a, supports: np.zeros(len(supports), dtype=np.int8))
+    plain = evaluate_recovery(phi, rows, k, cfg, keep_trials=True)
+    assert screened.certified == np.count_nonzero(verdicts > 0) > 0
+    assert screened.certified + screened.refuted < screened.total_trials
+    assert 0 < screened.exact_count == plain.exact_count < screened.total_trials
+    for got, ref in zip(screened.per_trial, plain.per_trial, strict=True):
+        assert got.support == ref.support
+        assert got.recovered == ref.recovered, got.support
+
+
+def test_screen_memory_does_not_grow_with_the_rows_squared():
+    # an n x m^2 table of outer products alone would take 64 MB at m = n = 200
+    a = recovery._unit_columns(np.random.default_rng(22).standard_normal((200, 200)))
+    supports = np.array(list(itertools.combinations(range(200), 2))[:2000])
+    tracemalloc.start()
+    try:
+        recovery._dual_screen(a, supports)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 _ORACLE_SWEEPS = [(2, BpConfig()), (3, BpConfig(seed=5, sample_cap=300))]
