@@ -9,6 +9,7 @@ potential at row pairs.  A metric that is meaningless for the given matrix
 import numpy as np
 
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral
 
 from .exceptions import InfeasibleConstraintError, InvalidSubsetError
@@ -102,6 +103,18 @@ def extract_submatrix(phi, indices):
     return phi[idx].copy()
 
 
+@lru_cache(maxsize=1)
+def _pair_positions(n):
+    """Flat positions of the i < j entries of an n x n matrix, row by row (read-only).
+
+    A selection scores subsets of one n, so only the last n is kept: the
+    array holds n (n - 1) / 2 int64 entries, 16 MB at n = 2000.
+    """
+    flat = np.ravel_multi_index(np.triu_indices(n, k=1), (n, n))
+    flat.flags.writeable = False
+    return flat
+
+
 def _coherence_values(phi):
     """Upper-triangle column coherences as a flat array, or None if undefined."""
     norms = np.linalg.norm(phi, axis=0)
@@ -109,8 +122,9 @@ def _coherence_values(phi):
         return None
     unit = phi / norms
     gram = unit.T @ unit
-    iu = np.triu_indices(phi.shape[1], k=1)
-    return np.minimum(np.abs(gram[iu]), 1.0)
+    c = gram.take(_pair_positions(phi.shape[1]))
+    np.abs(c, out=c)
+    return np.minimum(c, 1.0, out=c)
 
 
 def _rms(c):

@@ -145,7 +145,11 @@ def gram_matrix(phi, z):
 
 def _objective_from_gram(gram, eps1, eps2):
     diag = np.diag(gram)
-    ratio = (gram**2 + eps1) / (np.outer(diag, diag) + eps2)
+    den = np.outer(diag, diag)
+    den += eps2
+    ratio = np.square(gram)
+    ratio += eps1
+    ratio /= den
     # off-diagonal sum halves to the i < j pair sum
     return float((ratio.sum() - np.trace(ratio)) / 2.0)
 
@@ -161,20 +165,27 @@ def coherence_objective(phi, z, cfg=None):
 
 
 def gram_gradient(gram, cfg=None):
-    """Gradient of the objective with respect to the Gram matrix.
+    """Gradient of the objective with respect to the Gram matrix, symmetrized.
 
-    Upper triangular: entry (i, j) with i < j is 2 G_ij / (G_ii G_jj + eps2);
-    diagonal entry (i, i) collects the effect of G_ii on every denominator
-    it appears in, -sum_{l != i} G_ll (G_il^2 + eps1) / (G_ii G_ll + eps2)^2.
+    With den_ij = G_ii G_jj + eps2, off-diagonal entry (i, j) is
+    G_ij / den_ij, half the derivative by the pair's G_ij, placed once on
+    each side of the diagonal; diagonal entry (i, i) collects the effect
+    of G_ii on every denominator it appears in,
+    -sum_{l != i} G_ll (G_il^2 + eps1) / den_il^2.  The quadratic form
+    x' H x of the result is the chain-rule derivative along x x'.
     """
     cfg = cfg or InsenseConfig()
     gram = np.asarray(gram, dtype=float)
     diag = np.diag(gram)
-    den = np.outer(diag, diag) + cfg.eps2
-    grad = np.triu(2.0 * gram / den, k=1)
-    diag_terms = -(diag[None, :] * (gram**2 + cfg.eps1)) / den**2
-    np.fill_diagonal(diag_terms, 0.0)
-    np.fill_diagonal(grad, diag_terms.sum(axis=1))
+    den = np.outer(diag, diag)
+    den += cfg.eps2
+    q = np.square(gram)
+    q += cfg.eps1
+    q /= den
+    q /= den
+    np.fill_diagonal(q, 0.0)
+    grad = np.divide(gram, den, out=den)
+    np.fill_diagonal(grad, -(q @ diag))
     return grad
 
 
@@ -185,8 +196,9 @@ def weight_gradient(phi, gram, cfg=None):
     gradient; the d x d conjugation is never materialized.
     """
     cfg = cfg or InsenseConfig()
-    gg = gram_gradient(gram, cfg)
-    return np.einsum("ij,ij->i", phi @ gg, phi)
+    prod = phi @ gram_gradient(gram, cfg)
+    prod *= phi
+    return prod.sum(axis=1)
 
 
 def _initial_weights(d, m, cfg, rng):

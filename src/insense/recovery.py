@@ -48,9 +48,10 @@ from .metrics import as_integer, as_sensing_matrix, as_whole_number, validate_su
 from .seeding import seeded_rng
 
 # dual screen of a sweep: supports per batched solve, the least eigenvalue
-# ratio of A_S'A_S (and of A A') that is solved at all, the gap to 1 that a
-# certificate or a refutation must keep, the Lawson steps after the Fuchs
-# point, and the most rows for which those steps run
+# ratio of A_S'A_S that is solved at all (and of the eigenvectors of A A'
+# that are kept), the gap to 1 that a certificate or a refutation must
+# keep, the Lawson steps after the Fuchs point, and the most rows for which
+# those steps run
 _CERT_CHUNK = 512
 _CERT_MIN_EIG_RATIO = 1e-6
 _CERT_MARGIN = 1e-6
@@ -292,24 +293,35 @@ def _dual_screen(a, supports):
     A support with an all-zero column is refuted: basis pursuit leaves
     that entry at 0.  Other supports whose A_S' A_S has an eigenvalue
     ratio below _CERT_MIN_EIG_RATIO (repeated columns, k > m) stay
-    undecided, and so does every support past iterate 0 when A A' itself
-    is that ill-conditioned.  supports is an int array of shape (t, k),
-    screened in chunks of _CERT_CHUNK supports.  The Lawson steps run
-    only when m <= _CERT_MAX_ROWS: M then comes from one (chunk, n) @
-    (n, m^2) product with a table of the outer products a_l a_l', so
-    neither that table nor the per-chunk arrays grow past
+    undecided.  Linearly dependent rows (eigenvalues of A A' at or below
+    _CERT_MIN_EIG_RATIO times the largest, as whenever m > n) are
+    screened on their row space: B = U' A, U the kept eigenvectors, so
+    b_l' w = a_l' (U w) for every w and a certificate for B is one for
+    A.  A refutation of B says nothing of A, whose dual set also reaches
+    along the dropped directions, so there the screen only certifies
+    (zero columns are still refuted).  supports is an int array of
+    shape (t, k), screened in chunks of _CERT_CHUNK supports.  The Lawson
+    steps run only when m <= _CERT_MAX_ROWS: M then comes from one
+    (chunk, n) @ (n, m^2) product with a table of the outer products
+    a_l a_l', so neither that table nor the per-chunk arrays grow past
     O(_CERT_CHUNK max(n, _CERT_MAX_ROWS^2)) entries.  With more rows the
     screen keeps the verdicts of iterate 0.
     """
-    m, n = a.shape
     t, k = supports.shape
     verdict = np.zeros(t, dtype=np.int8)
-    cols = a.T
-    zero = ~cols.any(axis=1)
-    lawson = m <= _CERT_MAX_ROWS
+    zero = ~a.any(axis=0)
+    lawson, refute = a.shape[0] <= _CERT_MAX_ROWS, True
     if lawson:
-        eig_aa = np.linalg.eigvalsh(a @ a.T)
-        lawson = eig_aa[0] > _CERT_MIN_EIG_RATIO * eig_aa[-1]
+        eig_aa, vecs = np.linalg.eigh(a @ a.T)
+        kept = eig_aa > _CERT_MIN_EIG_RATIO * eig_aa[-1]
+        lawson = kept.any()
+        if lawson and not kept.all():
+            # dependent rows: certify on the row space, b_l' w = a_l' (U_r w)
+            refute = False
+            a, eig_aa = vecs[:, kept].T @ a, eig_aa[kept]
+    m, n = a.shape
+    cols = a.T
+    if lawson:
         delta = _CERT_MARGIN * eig_aa[0] / n
         ridge = delta * np.eye(m)
         outer = (cols[:, :, None] * cols[:, None, :]).reshape(n, m * m)
@@ -342,7 +354,7 @@ def _dual_screen(a, supports):
                 mw = (mat @ w[:, :, None])[:, :, 0] - delta * w
                 r = mw - (a_s * lam[:, :, None]).sum(axis=1)
                 bound = 2.0 * lam.sum(axis=1) - (w * mw).sum(axis=1) - (r * r).sum(axis=1) / delta
-                wrong = ~sure & (bound > (1.0 + _CERT_MARGIN) ** 2)
+                wrong = ~sure & (bound > (1.0 + _CERT_MARGIN) ** 2) & refute
                 weights *= corr
             v[live[sure]] = 1
             v[live[wrong]] = -1

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import insense.metrics as metrics
 from insense import (
     InfeasibleConstraintError,
     InvalidSubsetError,
@@ -69,6 +70,31 @@ def test_against_bruteforce_loops():
         assert frame_potential(phi) == pytest.approx(fp, rel=1e-12)
         s = np.linalg.svd(phi, compute_uv=False)
         assert condition_number(phi) == pytest.approx(s[0] / s[-1], rel=1e-12)
+
+
+def _coherence_reference(phi):
+    """The coherence array as computed before the pair positions were cached."""
+    norms = np.linalg.norm(phi, axis=0)
+    unit = phi / norms
+    gram = unit.T @ unit
+    return np.minimum(np.abs(gram[np.triu_indices(phi.shape[1], k=1)]), 1.0)
+
+
+def test_cached_pair_positions_keep_the_coherences_bit_for_bit():
+    rng = np.random.default_rng(43)
+    # each size is scored three times, so later calls reuse the cached
+    # positions, and sizes come back, so the cache also refills
+    for n in (2, 3, 7, 50, 3, 200, 7, 50):
+        phi = rng.standard_normal((int(rng.integers(1, 12)), n))
+        phi[:, 0] = phi[:, 1]  # one pair at coherence 1, up to rounding
+        ref = _coherence_reference(phi)
+        assert mu_avg(phi) == float(np.sqrt(np.mean(ref**2)))
+        assert mu_max(phi) == float(np.max(ref))
+        report = metric_report(phi)
+        assert (report.mu_avg, report.mu_max) == (mu_avg(phi), mu_max(phi))
+    # the cached positions cannot be changed by a caller
+    with pytest.raises(ValueError):
+        metrics._pair_positions(7)[0] = 1
 
 
 def test_zero_column_undefines_coherence():

@@ -285,6 +285,50 @@ def test_weight_gradient_matches_finite_differences():
         assert np.max(np.abs(grad - fd)) / scale < 1e-5
 
 
+def _triangular_gram_gradient(gram, cfg):
+    """Upper-triangular Gram gradient, the pair derivative 2 G_ij / den_ij above the diagonal."""
+    diag = np.diag(gram)
+    den = np.outer(diag, diag) + cfg.eps2
+    grad = np.triu(2.0 * gram / den, k=1)
+    diag_terms = -(diag[None, :] * (gram**2 + cfg.eps1)) / den**2
+    np.fill_diagonal(diag_terms, 0.0)
+    np.fill_diagonal(grad, diag_terms.sum(axis=1))
+    return grad
+
+
+def test_gram_gradient_is_symmetric_with_the_triangular_quadratic_forms():
+    rng = np.random.default_rng(61)
+    cfg = InsenseConfig()
+    for d, n in ((6, 4), (40, 30), (200, 200)):
+        phi = rng.standard_normal((d, n))
+        gram = gram_matrix(phi, rng.uniform(0.0, 1.0, d))
+        before = gram.copy()
+        sym = gram_gradient(gram, cfg)
+        np.testing.assert_array_equal(gram, before)  # the in-place steps work on copies
+        np.testing.assert_array_equal(sym, sym.T)
+        tri = _triangular_gram_gradient(gram, cfg)
+        np.testing.assert_allclose(np.diag(sym), np.diag(tri), rtol=1e-12, atol=0.0)
+        expected = np.einsum("ij,ij->i", phi @ tri, phi)
+        got = weight_gradient(phi, gram, cfg)
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_objective_is_bit_identical_to_the_one_expression_form():
+    rng = np.random.default_rng(67)
+    cfg = InsenseConfig()
+    # few columns leave few terms, so a rounding change in one term shows
+    sizes = [(3, 2)] * 20 + [(5, 3)] * 20 + [(40, 30), (200, 200)]
+    for d, n in sizes:
+        phi = rng.standard_normal((d, n))
+        z = rng.uniform(0.0, 1.0, d)
+        gram = gram_matrix(phi, z)
+        diag = np.diag(gram)
+        ratio = (gram**2 + cfg.eps1) / (np.outer(diag, diag) + cfg.eps2)
+        expected = float((ratio.sum() - np.trace(ratio)) / 2.0)
+        assert coherence_objective(phi, z, cfg) == expected
+
+
 def test_gram_gradient_diagonal_sign():
     # raising a diagonal entry grows denominators, so the objective falls
     rng = np.random.default_rng(13)

@@ -198,6 +198,54 @@ def test_full_row_sweep_keeps_the_fuchs_verdicts(monkeypatch):
         assert got.recovered == ref.recovered, got.support
 
 
+def _dependent_rows(case):
+    rng = np.random.default_rng(0)
+    if case == "duplicated-row":
+        phi = rng.standard_normal((10, 30))
+        phi[9] = phi[0]
+        return phi, 2
+    if case == "more-rows-than-columns":
+        return rng.standard_normal((20, 12)), 3
+    if case == "combined-rows":
+        phi = rng.standard_normal((12, 40))
+        phi[10], phi[11] = phi[0] - 2.0 * phi[3], 0.5 * phi[1] + phi[2]
+        return phi, 2
+    # a row this far from a copy: dependent to the screen, not to the LP
+    noise = float(case.removeprefix("row-copied-with-noise-"))
+    phi = rng.standard_normal((10, 30))
+    phi[9] = phi[0] + noise * rng.standard_normal(30)
+    return phi, 2
+
+
+@pytest.mark.parametrize("case", [
+    "duplicated-row", "more-rows-than-columns", "combined-rows",
+    "row-copied-with-noise-1e-5", "row-copied-with-noise-1e-6", "row-copied-with-noise-1e-7"])
+def test_dependent_rows_are_screened_on_their_row_space(case, monkeypatch):
+    phi, k = _dependent_rows(case)
+    rows = np.arange(phi.shape[0])
+    screened = evaluate_recovery(phi, rows, k, keep_trials=True)
+    with monkeypatch.context() as patch:
+        # the Fuchs point alone, which is all these rows used to get
+        patch.setattr(recovery, "_CERT_ITERS", 0)
+        fuchs = evaluate_recovery(phi, rows, k)
+    monkeypatch.setattr(recovery, "_dual_screen",
+                        lambda a, supports: np.zeros(len(supports), dtype=np.int8))
+    plain = evaluate_recovery(phi, rows, k, keep_trials=True)
+    lp_trials = screened.total_trials - screened.certified - screened.refuted
+    assert lp_trials < fuchs.total_trials - fuchs.certified - fuchs.refuted
+    # a refutation on the row space misses the dropped directions, so none is made
+    assert screened.refuted == 0
+    # at 1e-7 whether a warm-started LP fails depends on the trials before it
+    # (7 failures without the screen, 25 with it, as before the row-space
+    # screen), so there only the trials both sweeps solved are compared
+    if case != "row-copied-with-noise-1e-7":
+        assert screened.solver_failures == plain.solver_failures == 0
+    for got, ref in zip(screened.per_trial, plain.per_trial, strict=True):
+        assert got.support == ref.support
+        if math.inf not in (got.linf_error, ref.linf_error):
+            assert got.recovered == ref.recovered, got.support
+
+
 def test_screen_memory_does_not_grow_with_the_rows_squared():
     # an n x m^2 table of outer products alone would take 64 MB at m = n = 200
     a = recovery._unit_columns(np.random.default_rng(22).standard_normal((200, 200)))
