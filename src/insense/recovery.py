@@ -3,6 +3,8 @@
 solve_bp finds the minimum-l1 solution of an equality-constrained linear
 system by splitting x into positive and negative parts and handing the
 resulting linear program to the HiGHS solver bundled with scipy.
+The binding is loaded from its extension file (see _load_highs), so
+importing insense pulls in neither scipy.optimize nor scipy.sparse.
 evaluate_recovery replays the sweep protocol: plant a unit-magnitude
 k-sparse signal on every size-k support (or a seeded sample of them when
 there are too many), measure it through the selected rows, and count the
@@ -32,16 +34,18 @@ differences leak into the planted amplitudes and the sweep stops
 measuring the property the selection controlled.
 """
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 
 import numpy as np
+import scipy
 
 from dataclasses import dataclass
 from typing import NamedTuple
-
-from scipy.optimize._highspy import _core as _highs
-from scipy.sparse import csc_array
 
 from .exceptions import SolverFailureError
 from .metrics import as_integer, as_sensing_matrix, as_whole_number, validate_subset
@@ -63,6 +67,34 @@ _CERT_MAX_ROWS = 32
 _FEAS_TOL = 1e-8
 _EXACT_TOL = 1e-4
 _SIMPLEX_ITERATION_LIMIT = 20000
+
+
+def _load_highs():
+    """scipy's pybind11 HiGHS binding, without importing scipy.optimize.
+
+    Importing scipy.optimize._highspy._core by name runs all of
+    scipy.optimize's __init__, the largest part of importing insense.  The
+    extension file is loaded on its own instead and registered under its
+    canonical name, so a later import of scipy.optimize finds and shares it.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_core" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(
+        f"insense needs scipy's HiGHS binding {name} (scipy >= 1.15); none found in {folder}"
+    )
+
+
+_highs = _load_highs()
 
 
 @dataclass
@@ -124,6 +156,22 @@ class RecoveryReport:
         }
 
 
+def _split_csc(a):
+    """Column-wise (start, index, value) arrays of the dense [a, -a].
+
+    They equal scipy.sparse.csc_array(np.hstack([a, -a]))'s indptr,
+    indices and data: exact zeros are left out, each column lists its rows
+    in increasing order, and the index arrays are int32, HiGHS's index type.
+    """
+    nonzero = a.T != 0
+    rows = np.nonzero(nonzero)[1].astype(np.int32)
+    values = a.T[nonzero]
+    counts = np.count_nonzero(nonzero, axis=1)
+    start = np.zeros(2 * a.shape[1] + 1, dtype=np.int32)
+    start[1:] = np.cumsum(np.concatenate([counts, counts]))
+    return start, np.concatenate([rows, rows]), np.concatenate([values, -values])
+
+
 class _BasisPursuit:
     """The basis pursuit LP of a fixed matrix, re-solved for each measurement.
 
@@ -134,7 +182,7 @@ class _BasisPursuit:
 
     def __init__(self, a):
         m, n = a.shape
-        mat = csc_array(np.hstack([a, -a]))
+        start, index, value = _split_csc(a)
         lp = _highs.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = 2 * n
         lp.num_row_ = lp.a_matrix_.num_row_ = m
@@ -143,9 +191,9 @@ class _BasisPursuit:
         lp.col_upper_ = np.full(2 * n, _highs.kHighsInf)
         lp.row_lower_ = lp.row_upper_ = np.zeros(m)
         lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = mat.indptr
-        lp.a_matrix_.index_ = mat.indices
-        lp.a_matrix_.value_ = mat.data
+        lp.a_matrix_.start_ = start
+        lp.a_matrix_.index_ = index
+        lp.a_matrix_.value_ = value
         self._a = a
         self._highs = _highs._Highs()
         self._highs.setOptionValue("output_flag", False)

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 import insense.recovery as recovery
 from insense import (
@@ -382,6 +383,30 @@ def test_matches_support_enumeration_oracle():
             np.testing.assert_allclose(xhat, distinct[0], atol=1e-6)
             checked += 1
     assert checked >= 10
+
+
+@pytest.mark.parametrize("case", ["gaussian", "identity-rows", "zero-column"])
+def test_split_csc_matches_scipy_sparse(case):
+    rng = np.random.default_rng(21)
+    if case == "gaussian":
+        a = rng.standard_normal((7, 12))
+    elif case == "identity-rows":
+        a = np.eye(12)[[0, 3, 4, 9]]
+    else:
+        a = rng.standard_normal((5, 9))
+        a[:, 4] = 0.0
+        a[2, 6] = 0.0
+    start, index, value = recovery._split_csc(a)
+    ref = csc_array(np.hstack([a, -a]))
+    for got, want in [(start, ref.indptr), (index, ref.indices), (value, ref.data)]:
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    # HiGHS takes the arrays as they are and holds the same entries
+    lp = recovery._highs.HighsLp()
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
+    assert list(lp.a_matrix_.start_) == start.tolist()
+    assert list(lp.a_matrix_.index_) == index.tolist()
+    assert list(lp.a_matrix_.value_) == value.tolist()
 
 
 def test_solver_input_errors():
