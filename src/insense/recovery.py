@@ -20,12 +20,16 @@ _CERT_MAX_ROWS rows, moves on by Lawson reweighting; the same weights
 give a lower bound on the least max |a_l' w| over the dual set, and a
 bound above 1 proves 1_S is no basis pursuit solution: the trial counts
 as not recovered without an LP (residual and error NaN, counted in
-RecoveryReport.refuted).  The undecided trials share the constraint
-matrix and only the measurement changes, so a sweep builds one HiGHS
-model and re-solves it with new row bounds per trial, in support order:
-each solve is a dual simplex run warm-started from the basis the
-previous LP trial ended in, and _SIMPLEX_ITERATION_LIMIT caps the
-simplex iterations of each such run.
+RecoveryReport.refuted).  The supports the Lawson steps leave undecided
+are pooled from the whole sweep and get a few exchange rounds on a
+reference set of columns, which decide most of them too.  The undecided
+trials share the constraint matrix and only the measurement changes, so
+the first of them builds one HiGHS model, and the sweep re-solves it
+with new row bounds per trial, in support order: each solve is a dual
+simplex run without presolve, warm-started from the basis the previous
+LP trial ended in, and _SIMPLEX_ITERATION_LIMIT caps the simplex
+iterations of each such run.  A sweep the screen decides in full builds
+no model.
 
 The sweep sees the selected submatrix with its columns scaled to unit
 l2 norm.  Column coherence, the quantity the selectors optimize, only
@@ -55,12 +59,13 @@ from .seeding import seeded_rng
 # ratio of A_S'A_S that is solved at all (and of the eigenvectors of A A'
 # that are kept), the gap to 1 that a certificate or a refutation must
 # keep, the Lawson steps after the Fuchs point, and the most rows for which
-# those steps run
+# those steps run, and the exchange rounds after them
 _CERT_CHUNK = 512
 _CERT_MIN_EIG_RATIO = 1e-6
 _CERT_MARGIN = 1e-6
 _CERT_ITERS = 30
 _CERT_MAX_ROWS = 32
+_EXCHANGE_ROUNDS = 4
 # basis pursuit: the largest equality residual of an accepted solution,
 # the per-entry error of an exact recovery, and the simplex iterations of
 # one solve (inside a sweep, counted from the previous trial's basis)
@@ -198,6 +203,9 @@ class _BasisPursuit:
         self._highs = _highs._Highs()
         self._highs.setOptionValue("output_flag", False)
         self._highs.setOptionValue("simplex_iteration_limit", _SIMPLEX_ITERATION_LIMIT)
+        # presolve would run again on every re-solve; without it, sweeps take
+        # the same simplex iterations in less time
+        self._highs.setOptionValue("presolve", "off")
         self._highs.passModel(lp)
         self.simplex_iterations = 0
 
@@ -311,6 +319,86 @@ def _supports(n, k, cfg):
     return list(map(tuple, _unrank(np.sort(ranks), n, k).tolist())), True
 
 
+def _certify(w, a, sup, root):
+    """|a_l' w| for each row of w (0 on its support), and whether the row certifies.
+
+    w certifies its support when max |a_l' w| off the support, plus the
+    distance ||A_S' w - 1|| / sigma_min(A_S) from w to the dual set (which
+    adds at most that to any |a_l' w| of a unit column), stays below
+    1 - _CERT_MARGIN.  root holds sigma_min(A_S) per support.
+    """
+    corr = w @ a
+    on = (np.arange(len(w))[:, None], sup)
+    slack = corr[on] - 1.0
+    np.abs(corr, out=corr)
+    corr[on] = 0.0
+    sure = corr.max(axis=1) + np.sqrt((slack * slack).sum(axis=1)) / root
+    return corr, sure < 1.0 - _CERT_MARGIN
+
+
+def _exchange(a, sup, root, ref, reach):
+    """Verdicts of up to _EXCHANGE_ROUNDS exchange rounds (see _dual_screen).
+
+    sup (c, k) holds supports the Lawson steps left undecided, root their
+    sigma_min(A_S), and ref (c, p) a reference set of p = m - k + 1
+    off-support columns for each.  reach is sqrt(n / lambda_min(A A')),
+    or None where the screen may not refute.
+    """
+    k = sup.shape[1]
+    m = a.shape[0]
+    cols = a.T
+    verdict = np.zeros(len(sup), dtype=np.int8)
+    live = np.arange(len(sup))
+    for _ in range(_EXCHANGE_ROUNDS):
+        a_s, a_j = cols[sup], cols[ref]
+        pair = np.concatenate([a_s, -a_j], axis=1).transpose(0, 2, 1)  # [A_S, -A_J]
+        u, s, vh = np.linalg.svd(pair)
+        # a near-singular [A_S, -A_J] (copies of one column) ends its support's
+        # rounds; both verdicts below hold for whatever (lam, mu) and w were computed
+        ok = s[:, -1] ** 2 > _CERT_MIN_EIG_RATIO * s[:, 0] ** 2
+        s[~ok] = 1.0
+        # (lam, mu) spans the null space of [A_S, -A_J]; ||mu||_1 = 1, 1'lam >= 0
+        dual = vh[:, -1]
+        dual *= (np.where(dual[:, :k].sum(axis=1) < 0.0, -1.0, 1.0)
+                 / np.abs(dual[:, k:]).sum(axis=1))[:, None]
+        value, mu = dual[:, :k].sum(axis=1), dual[:, k:]
+        # the minimax over the reference set: A_S' w = 1 and sigma_j a_j' w =
+        # 1'lam with sigma = sign(mu), i.e. [A_S, -A_J]' w = [1; -1'lam sigma]
+        sign = np.where(mu < 0.0, -1.0, 1.0)
+        rhs = np.concatenate([np.ones((len(live), k)), -value[:, None] * sign], axis=1)
+        w = (u @ ((vh[:, :m] @ rhs[:, :, None])[:, :, 0] / s)[:, :, None])[:, :, 0]
+        corr, sure = _certify(w, a, sup, root)
+        if reach is None:
+            wrong = np.zeros_like(sure)
+        else:
+            # with r = A_S lam - A_J mu, every w of the dual set has 1'lam =
+            # mu' A_J' w + r' w <= max_J |a_j' w| + |r| |w|, and a minimizer
+            # with L <= 1 has |A' w|^2 <= n, so |w| <= reach
+            r = np.linalg.norm((pair @ dual[:, :, None])[:, :, 0], axis=1)
+            wrong = ~sure & (value - r * reach > 1.0 + _CERT_MARGIN)
+        verdict[live[sure]] = 1
+        verdict[live[wrong]] = -1
+        # exchange: the most violated column l* comes in; a support whose l*
+        # is already in J has reached the minimax and stops
+        new = corr.argmax(axis=1)
+        keep = ok & ~(sure | wrong) & (ref != new[:, None]).all(axis=1)
+        if not keep.any():
+            break
+        live, sup, root, ref, new = live[keep], sup[keep], root[keep], ref[keep], new[keep]
+        # the dual simplex ratio test: with [A_S, -A_J] z = sigma* a_l*,
+        # sigma* = sign(a_l*' w), the duals (lam, mu) + theta z with
+        # mu_l* = theta sigma* raise 1'lam / ||mu||_1 as theta grows, until
+        # the first sigma_j mu_j reaches 0: the least sigma_j z_j / |mu_j|
+        # (a multiple of (lam, mu) added to z shifts all of these alike)
+        head = cols[new] * np.sign((w[keep] * cols[new]).sum(axis=1))[:, None]
+        z = (u[keep].transpose(0, 2, 1) @ head[:, :, None])[:, :, 0] / s[keep]
+        z = (vh[keep, :m, k:].transpose(0, 2, 1) @ z[:, :, None])[:, :, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            drop = (z * sign[keep] / np.abs(mu[keep])).argmin(axis=1)
+        ref[np.arange(len(live)), drop] = new
+    return verdict
+
+
 def _dual_screen(a, supports):
     """Decide from dual certificates whether basis pursuit recovers 1_S.
 
@@ -354,6 +442,27 @@ def _dual_screen(a, supports):
     a_l a_l', so neither that table nor the per-chunk arrays grow past
     O(_CERT_CHUNK max(n, _CERT_MAX_ROWS^2)) entries.  With more rows the
     screen keeps the verdicts of iterate 0.
+
+    The supports still undecided after the last Lawson step are pooled
+    from every chunk, and up to _EXCHANGE_ROUNDS exchange rounds run on
+    the pool, _CERT_CHUNK supports per batch.  L is a discrete Chebyshev
+    problem, and the rounds are its Stiefel exchange (Cheney, Introduction
+    to Approximation Theory, 1966).  Each support keeps a
+    reference set J of p = m - k + 1 off-support columns, at first those
+    with the largest |a_l' w| at the last Lawson w.  A round takes (lam,
+    mu), the last right singular vector of the m x (m + 1) matrix [A_S,
+    -A_J] scaled to ||mu||_1 = 1 and 1'lam >= 0, and r = A_S lam - A_J mu.
+    Every w of the dual set has 1'lam <= max_J |a_j' w| + |r| |w|, and a
+    minimizer with L <= 1 has |w| <= sqrt(n / lambda_min(A A')), so the
+    round refutes when 1'lam - |r| sqrt(n / lambda_min(A A')) > 1 +
+    _CERT_MARGIN (never on the row space).  The w with A_S' w = 1 and
+    sign(mu_j) a_j' w = 1'lam on J, the minimax over J, goes through the
+    certificate test above.  The most violated column then enters J and
+    the column the dual simplex ratio test names leaves it; a support
+    stops when its most violated column is already in J, which makes w
+    the minimizer over every column.  Both verdicts are inequalities that
+    hold for whatever (lam, mu) or w was computed.  The rounds are
+    skipped when p > n - k.
     """
     t, k = supports.shape
     verdict = np.zeros(t, dtype=np.int8)
@@ -373,6 +482,8 @@ def _dual_screen(a, supports):
         delta = _CERT_MARGIN * eig_aa[0] / n
         ridge = delta * np.eye(m)
         outer = (cols[:, :, None] * cols[:, None, :]).reshape(n, m * m)
+    pool = []  # (positions, supports, sigma_min(A_S), reference sets) the Lawson steps left
+    p = m - k + 1
     for lo in range(0, t, _CERT_CHUNK):
         sup = supports[lo:lo + _CERT_CHUNK]
         v = verdict[lo:lo + _CERT_CHUNK]
@@ -382,18 +493,11 @@ def _dual_screen(a, supports):
         live = np.flatnonzero(eig[:, 0] > _CERT_MIN_EIG_RATIO * eig[:, -1])
         sup, a_s, root = sup[live], a_s[live], np.sqrt(eig[live, 0])
         x, mat = a_s.transpose(0, 2, 1), None  # iterate 0: M = I
-        for _ in range(_CERT_ITERS + 1):
+        for step in range(_CERT_ITERS + 1):
             lam = np.linalg.solve(a_s @ x, np.ones((len(live), k, 1)))
             w = (x @ lam)[:, :, 0]
             lam = lam[:, :, 0]
-            corr = w @ a
-            on = (np.arange(len(live))[:, None], sup)
-            slack = corr[on] - 1.0
-            np.abs(corr, out=corr)
-            corr[on] = 0.0
-            # the distance from w to the dual set adds at most this to any |a_l' w|
-            sure = corr.max(axis=1) + np.sqrt((slack * slack).sum(axis=1)) / root
-            sure = sure < 1.0 - _CERT_MARGIN
+            corr, sure = _certify(w, a, sup, root)
             if mat is None:
                 wrong = np.zeros_like(sure)
                 weights = corr  # the first Lawson weights follow the Fuchs point
@@ -410,11 +514,24 @@ def _dual_screen(a, supports):
             if not lawson or not keep.any():
                 break
             live, sup, a_s, root = live[keep], sup[keep], a_s[keep], root[keep]
+            if step == _CERT_ITERS:
+                if p <= n - k:
+                    # the reference sets: the p largest |a_l' w| off the support
+                    corr = corr[keep]
+                    corr[np.arange(len(live))[:, None], sup] = -1.0
+                    pool.append((lo + live, sup, root, np.argpartition(corr, n - p)[:, n - p:]))
+                break
             weights = weights[keep]
             weights /= weights.sum(axis=1, keepdims=True)
             mat = (weights @ outer).reshape(-1, m, m)
             mat += ridge
             x = np.linalg.solve(mat, a_s.transpose(0, 2, 1))
+    if pool:
+        at, sup, root, ref = (np.concatenate(part) for part in zip(*pool))
+        reach = math.sqrt(n / eig_aa[0]) if refute else None
+        for lo in range(0, len(at), _CERT_CHUNK):
+            part = slice(lo, lo + _CERT_CHUNK)
+            verdict[at[part]] = _exchange(a, sup[part], root[part], ref[part], reach)
     return verdict
 
 
@@ -431,8 +548,8 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
     Only the undecided supports go to basis pursuit: a solver failure
     marks the trial as not recovered (error inf), is counted in
     solver_failures, and the sweep goes on.  The LP trials share one
-    warm-started model (see the module docstring).  per_trial holds every
-    TrialOutcome when keep_trials.
+    warm-started model, built by the first of them (see the module
+    docstring).  per_trial holds every TrialOutcome when keep_trials.
 
     Returns
     -------
@@ -456,7 +573,7 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
     a = _unit_columns(phi[idx])
     supports, sampled = _supports(n, k, cfg)
     verdicts = _dual_screen(a, np.array(supports))
-    bp = _BasisPursuit(a)
+    bp = None  # built by the first trial that reaches an LP
     trials = [] if keep_trials else None
     exact = failures = 0
     for support, verdict in zip(supports, verdicts.tolist()):
@@ -467,6 +584,7 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
             x = np.zeros(n)
             x[list(support)] = 1.0
             y = a @ x
+            bp = bp or _BasisPursuit(a)
             try:
                 xhat, residual = bp.solve(y)
                 err = float(np.max(np.abs(xhat - x)))
@@ -486,6 +604,6 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
         certified=int(np.count_nonzero(verdicts > 0)),
         refuted=int(np.count_nonzero(verdicts < 0)),
         solver_failures=failures,
-        simplex_iterations=bp.simplex_iterations,
+        simplex_iterations=bp.simplex_iterations if bp else 0,
         per_trial=trials,
     )

@@ -151,22 +151,37 @@ _SCREENED_SWEEPS = {
     "gaussian-10x40-k2": lambda: (_gaussian_10x40(), np.arange(10), 2, BpConfig()),
     "gaussian-10x40-k3-sampled": lambda: (_gaussian_10x40(), np.arange(10), 3,
                                           BpConfig(seed=5, sample_cap=300)),
+    "gaussian-10x40-k4-sampled": lambda: (_gaussian_10x40(), np.arange(10), 4,
+                                          BpConfig(seed=5, sample_cap=300)),
+    "gaussian-10x40-k5-sampled": lambda: (_gaussian_10x40(), np.arange(10), 5,
+                                          BpConfig(seed=5, sample_cap=300)),
     "identity-gaussian-100x50-k2": lambda: (*_identity_gaussian_selection(), 2, BpConfig()),
     "uniform-gaussian-200x200-k2-sampled": lambda: (*_uniform_gaussian_selection(), 2,
                                                     BpConfig(seed=3, sample_cap=1000)),
 }
+
+# sweeps the screen decides in full, exchange rounds included: (certified, refuted)
+_FULLY_DECIDED = {"gaussian-10x40-k3-sampled": (174, 126), "gaussian-10x40-k5-sampled": (19, 281)}
+
+
+def _lp_only(monkeypatch):
+    monkeypatch.setattr(recovery, "_dual_screen",
+                        lambda a, supports: np.zeros(len(supports), dtype=np.int8))
 
 
 @pytest.mark.parametrize("case", sorted(_SCREENED_SWEEPS))
 def test_certified_sweep_matches_unscreened_verdicts(case, monkeypatch):
     phi, rows, k, cfg = _SCREENED_SWEEPS[case]()
     screened = evaluate_recovery(phi, rows, k, cfg, keep_trials=True)
-    monkeypatch.setattr(recovery, "_dual_screen",
-                        lambda a, supports: np.zeros(len(supports), dtype=np.int8))
+    _lp_only(monkeypatch)
     plain = evaluate_recovery(phi, rows, k, cfg, keep_trials=True)
     assert plain.certified == plain.refuted == 0
     assert screened.certified > 0 and screened.refuted > 0
-    assert screened.certified + screened.refuted < screened.total_trials
+    if case in _FULLY_DECIDED:
+        assert (screened.certified, screened.refuted) == _FULLY_DECIDED[case]
+        assert screened.simplex_iterations == 0
+    else:
+        assert screened.certified + screened.refuted < screened.total_trials
     assert screened.exact_count == plain.exact_count
     assert screened.solver_failures == plain.solver_failures == 0
     assert screened.simplex_iterations < plain.simplex_iterations
@@ -188,8 +203,7 @@ def test_full_row_sweep_keeps_the_fuchs_verdicts(monkeypatch):
         np.testing.assert_array_equal(
             recovery._dual_screen(recovery._unit_columns(phi), supports), verdicts)
     screened = evaluate_recovery(phi, rows, k, cfg, keep_trials=True)
-    monkeypatch.setattr(recovery, "_dual_screen",
-                        lambda a, supports: np.zeros(len(supports), dtype=np.int8))
+    _lp_only(monkeypatch)
     plain = evaluate_recovery(phi, rows, k, cfg, keep_trials=True)
     assert screened.certified == np.count_nonzero(verdicts > 0) > 0
     assert screened.certified + screened.refuted < screened.total_trials
@@ -228,13 +242,14 @@ def test_dependent_rows_are_screened_on_their_row_space(case, monkeypatch):
     with monkeypatch.context() as patch:
         # the Fuchs point alone, which is all these rows used to get
         patch.setattr(recovery, "_CERT_ITERS", 0)
+        patch.setattr(recovery, "_EXCHANGE_ROUNDS", 0)
         fuchs = evaluate_recovery(phi, rows, k)
-    monkeypatch.setattr(recovery, "_dual_screen",
-                        lambda a, supports: np.zeros(len(supports), dtype=np.int8))
+    _lp_only(monkeypatch)
     plain = evaluate_recovery(phi, rows, k, keep_trials=True)
     lp_trials = screened.total_trials - screened.certified - screened.refuted
     assert lp_trials < fuchs.total_trials - fuchs.certified - fuchs.refuted
-    # a refutation on the row space misses the dropped directions, so none is made
+    # a refutation on the row space misses the dropped directions, so none is
+    # made, by the Lawson steps or by the exchange rounds
     assert screened.refuted == 0
     # at 1e-7 whether a warm-started LP fails depends on the trials before it
     # (7 failures without the screen, 25 with it, as before the row-space
@@ -245,6 +260,94 @@ def test_dependent_rows_are_screened_on_their_row_space(case, monkeypatch):
         assert got.support == ref.support
         if math.inf not in (got.linf_error, ref.linf_error):
             assert got.recovered == ref.recovered, got.support
+
+
+def test_fully_decided_sweep_builds_no_lp_model(monkeypatch):
+    def no_lp(a):
+        raise AssertionError("a sweep without LP trials built the LP model")
+
+    monkeypatch.setattr(recovery, "_BasisPursuit", no_lp)
+    phi, rows, k, cfg = _SCREENED_SWEEPS["gaussian-10x40-k3-sampled"]()
+    report = evaluate_recovery(phi, rows, k, cfg)
+    assert report.certified + report.refuted == report.total_trials == 300
+    assert report.exact_count == 174 and report.simplex_iterations == 0
+
+
+def test_exchange_rounds_only_add_verdicts(monkeypatch):
+    a = _gaussian_10x40()
+    supports = np.array(list(itertools.combinations(range(40), 2)))
+    verdicts = recovery._dual_screen(a, supports)
+    monkeypatch.setattr(recovery, "_EXCHANGE_ROUNDS", 0)
+    lawson = recovery._dual_screen(a, supports)
+    decided = lawson != 0
+    np.testing.assert_array_equal(verdicts[decided], lawson[decided])
+    assert (verdicts[~decided] == 1).any() and (verdicts[~decided] == -1).any()
+
+
+def test_exchange_verdicts_hold_for_an_inexact_dual(monkeypatch):
+    # bias lam in the null vector the exchange reads from the SVD of
+    # [A_S, -A_J]: its residual must keep every refutation sound
+    a = _gaussian_10x40()
+    supports = np.array(list(itertools.combinations(range(40), 2)))
+    svd = np.linalg.svd
+
+    def biased(x):
+        u, s, vh = svd(x)
+        lam = vh[:, -1, :2]
+        lam += 0.05 * np.where(lam.sum(axis=1, keepdims=True) < 0.0, -1.0, 1.0)
+        return u, s, vh
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", biased)
+        verdicts = recovery._dual_screen(a, supports)
+    _lp_only(monkeypatch)
+    plain = evaluate_recovery(a, np.arange(10), 2, keep_trials=True)
+    recovered = np.array([t.recovered for t in plain.per_trial])
+    assert recovered[verdicts > 0].all()
+    assert not recovered[verdicts < 0].any()
+
+
+@pytest.mark.parametrize("case", ["square", "more-rows-than-columns"])
+def test_exchange_is_skipped_without_enough_off_support_columns(case, monkeypatch):
+    # a reference set takes p = m - k + 1 off-support columns; with m = n
+    # (here on the row space of 20 x 12) there are only n - k < p
+    if case == "square":
+        phi, k = np.random.default_rng(23).standard_normal((8, 8)), 2
+    else:
+        phi, k = _dependent_rows(case)
+    supports = np.array(list(itertools.combinations(range(phi.shape[1]), k)))
+
+    def boom(*args):
+        raise AssertionError("exchange rounds ran")
+
+    monkeypatch.setattr(recovery, "_CERT_ITERS", 0)  # leaves supports undecided
+    monkeypatch.setattr(recovery, "_exchange", boom)
+    assert (recovery._dual_screen(recovery._unit_columns(phi), supports) == 0).any()
+
+
+def test_degenerate_reference_sets_leave_only_their_support_undecided(monkeypatch):
+    a = _gaussian_10x40().copy()
+    a[:, 37] = a[:, 36]  # a repeated column
+    a[:, 34] = a[:, 33] = a[:, 32]  # three copies: [A_S, -A_J] drops to rank m - 1
+    supports = np.array(list(itertools.combinations(range(20), 2)))
+    lost = [s for s in supports.tolist()
+            if np.abs(_linprog_bp(a, a[:, s].sum(axis=1))).sum() < 2.0 - 1e-6]
+    sup = np.array(lost[:2] + supports.tolist())
+    ref = np.tile(np.arange(20, 29), (len(sup), 1))
+    ref[0, -2:] = [36, 37]
+    ref[1, -3:] = [32, 33, 34]
+    root = np.sqrt(np.linalg.eigvalsh(a.T[sup] @ a.T[sup].transpose(0, 2, 1))[:, 0])
+    reach = math.sqrt(40 / np.linalg.eigvalsh(a @ a.T)[0])
+    verdicts = recovery._exchange(a, sup, root, ref, reach)
+    assert verdicts[0] <= 0 and verdicts[1] == 0
+    # the rest of the batch is decided as it would be without those two
+    np.testing.assert_array_equal(
+        verdicts[2:], recovery._exchange(a, sup[2:], root[2:], ref[2:], reach))
+    assert (verdicts[2:] == 1).any() and (verdicts[2:] == -1).any()
+    # in its first round the repeated column's dual is the difference of its
+    # copies, with 1'lam = 0, and no w certifies a support that is not recovered
+    monkeypatch.setattr(recovery, "_EXCHANGE_ROUNDS", 1)
+    assert recovery._exchange(a, sup[:2], root[:2], ref[:2], reach).tolist() == [0, 0]
 
 
 def test_screen_memory_does_not_grow_with_the_rows_squared():
