@@ -11,7 +11,7 @@ import numpy as np
 from dataclasses import asdict, dataclass
 
 from .exceptions import MatrixParseError
-from .metrics import as_sensing_matrix
+from .metrics import as_integer, as_sensing_matrix
 from .seeding import seeded_rng
 
 KINDS = ("gaussian", "uniform01", "bernoulli01", "identity-gaussian", "uniform-gaussian")
@@ -24,7 +24,8 @@ class EnsembleSpec:
     identity-gaussian stacks an n x n identity atop an n x n Gaussian
     block (d = 2n).  uniform-gaussian stacks `gaussian_rows` Gaussian rows
     atop uniform [0,1) rows.  signed switches bernoulli01 from {0,1} to
-    {-1,1} draws.
+    {-1,1} draws.  d, n, seed and gaussian_rows must be integers and signed
+    a bool; anything else raises a ValueError.
     """
 
     kind: str
@@ -37,6 +38,10 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        for name in ("d", "n", "seed", "gaussian_rows"):
+            setattr(self, name, as_integer(getattr(self, name), name))
+        if not isinstance(self.signed, bool):
+            raise ValueError(f"signed must be true or false, got {self.signed!r}")
         if self.d < 1 or self.n < 2:
             raise ValueError(f"need d >= 1 and n >= 2, got {self.d}x{self.n}")
         if self.kind == "identity-gaussian" and self.d != 2 * self.n:

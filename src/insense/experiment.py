@@ -13,11 +13,11 @@ import time
 
 import numpy as np
 
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from typing import Callable, NamedTuple
 
 from .baselines import EXHAUSTIVE_LIMIT, select_exhaustive_mu_avg, select_fp_greedy, select_random
-from .datagen import KINDS, EnsembleSpec, block_layout, generate, load_matrix
+from .datagen import EnsembleSpec, block_layout, generate, load_matrix
 from .exceptions import InsenseError
 from .metrics import as_integer, extract_submatrix, metric_report
 from .optimizer import InsenseConfig, run_insense
@@ -43,6 +43,7 @@ _CONFIG_KEYS = {
     "formats",
     "output_dir",
 }
+_ENSEMBLE_KEYS = {"kind", "d", "n", "gaussian_rows", "signed"}
 
 
 class Selector(NamedTuple):
@@ -121,9 +122,10 @@ def resolve_config(raw, base_dir=".", output_dir="."):
 
     Paths inside the config resolve relative to `base_dir`; `output_dir`
     is used when the config names none.  Every selector's settings are
-    built here, so a bad option fails before any cell runs.  A bad config
-    raises InsenseError, or ValueError for a count or seed that is not an
-    integer.  The returned dict is what gets embedded in every output
+    built here, and the matrix entry goes through EnsembleSpec's checks,
+    so a bad option or shape fails before any cell runs.  A bad config
+    raises InsenseError, or ValueError for a top-level count or seed that
+    is not an integer.  The returned dict is what gets embedded in every output
     file, so the same resolved config always reproduces the same numbers
     (wall-clock columns aside).
     """
@@ -136,6 +138,9 @@ def resolve_config(raw, base_dir=".", output_dir="."):
     matrix = raw.get("matrix")
     if not isinstance(matrix, dict) or ("file" in matrix) == ("kind" in matrix):
         raise InsenseError("config 'matrix' must hold either 'file' or 'kind'")
+    unknown = set(matrix) - ({"file"} if "file" in matrix else _ENSEMBLE_KEYS)
+    if unknown:
+        raise InsenseError(f"unknown matrix keys: {sorted(unknown)}")
     if "file" in matrix:
         path = matrix["file"]
         if not isinstance(path, str):
@@ -144,17 +149,11 @@ def resolve_config(raw, base_dir=".", output_dir="."):
             path = os.path.join(base_dir, path)
         matrix = {"file": path}
     else:
-        matrix = {
-            "kind": matrix["kind"],
-            "d": as_integer(matrix.get("d", 0), "matrix 'd'"),
-            "n": as_integer(matrix.get("n", 0), "matrix 'n'"),
-            "gaussian_rows": as_integer(matrix.get("gaussian_rows", 10), "matrix 'gaussian_rows'"),
-            "signed": matrix.get("signed", False),
-        }
-        if matrix["kind"] not in KINDS:
-            raise InsenseError(f"unknown ensemble kind {matrix['kind']!r}")
-        if not isinstance(matrix["signed"], bool):
-            raise InsenseError(f"matrix 'signed' must be true or false, got {matrix['signed']!r}")
+        try:
+            matrix = asdict(EnsembleSpec(**matrix))
+        except (TypeError, ValueError) as exc:
+            raise InsenseError(f"bad matrix: {exc}") from None
+        del matrix["seed"]  # the per-trial seeds are derived from the top-level seed
 
     selectors = raw.get("selectors")
     if not isinstance(selectors, list) or not selectors:
@@ -264,14 +263,7 @@ def run_benchmark(cfg):
         if file_phi is not None:
             phi, layout = file_phi, None
         else:
-            spec = EnsembleSpec(
-                matrix["kind"],
-                d=matrix["d"],
-                n=matrix["n"],
-                seed=derive_seed(cfg["seed"], 0, trial),
-                gaussian_rows=matrix["gaussian_rows"],
-                signed=matrix["signed"],
-            )
+            spec = EnsembleSpec(**matrix, seed=derive_seed(cfg["seed"], 0, trial))
             phi, layout = generate(spec), block_layout(spec)
         for s_idx, selector in enumerate(cfg["selectors"]):
             for m_idx, m in enumerate(cfg["budgets"]):

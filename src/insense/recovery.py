@@ -16,20 +16,21 @@ holds a w with |a_l' w| < 1 off the support has 1_S as the unique basis
 pursuit solution: the trial counts as exact without an LP (residual and
 error 0.0, counted in RecoveryReport.certified).  The screen starts from
 the Fuchs point w = A_S (A_S'A_S)^-1 1 (IEEE TIT 2004) and, on at most
-_CERT_MAX_ROWS rows, moves on by Lawson reweighting; the same weights
-give a lower bound on the least max |a_l' w| over the dual set, and a
-bound above 1 proves 1_S is no basis pursuit solution: the trial counts
-as not recovered without an LP (residual and error NaN, counted in
-RecoveryReport.refuted).  The supports the Lawson steps leave undecided
-are pooled from the whole sweep and get a few exchange rounds on a
-reference set of columns, which decide most of them too.  The undecided
-trials share the constraint matrix and only the measurement changes, so
-the first of them builds one HiGHS model, and the sweep re-solves it
-with new row bounds per trial, in support order: each solve is a dual
-simplex run without presolve, warm-started from the basis the previous
-LP trial ended in, and _SIMPLEX_ITERATION_LIMIT caps the simplex
-iterations of each such run.  A sweep the screen decides in full builds
-no model.
+_CERT_MAX_ROWS linearly independent rows, moves on by Lawson
+reweighting; the same weights give a lower bound on the least max
+|a_l' w| over the dual set, and a bound above 1 proves 1_S is no basis
+pursuit solution: the trial counts as not recovered without an LP
+(residual and error NaN, counted in RecoveryReport.refuted).  On more
+rows, or on dependent ones, the screen keeps the Fuchs verdicts.  The
+supports the Lawson steps leave undecided are pooled from the whole
+sweep and get a few exchange rounds on a reference set of columns,
+which decide most of them too.  The undecided trials share the
+constraint matrix and only the measurement changes, so the first of them
+builds one HiGHS model, and the sweep re-solves it with new row bounds
+per trial, in support order: each solve is a dual simplex run without
+presolve, warm-started from the basis the previous LP trial ended in,
+and _SIMPLEX_ITERATION_LIMIT caps the simplex iterations of each such
+run.  A sweep the screen decides in full builds no model.
 
 The sweep sees the selected submatrix with its columns scaled to unit
 l2 norm.  Column coherence, the quantity the selectors optimize, only
@@ -56,10 +57,10 @@ from .metrics import as_integer, as_sensing_matrix, as_whole_number, validate_su
 from .seeding import seeded_rng
 
 # dual screen of a sweep: supports per batched solve, the least eigenvalue
-# ratio of A_S'A_S that is solved at all (and of the eigenvectors of A A'
-# that are kept), the gap to 1 that a certificate or a refutation must
-# keep, the Lawson steps after the Fuchs point, and the most rows for which
-# those steps run, and the exchange rounds after them
+# ratio of A_S'A_S that is solved at all (and of A A' for the Lawson steps
+# to run), the gap to 1 that a certificate or a refutation must keep, the
+# Lawson steps after the Fuchs point, and the most rows for which those
+# steps run, and the exchange rounds after them
 _CERT_CHUNK = 512
 _CERT_MIN_EIG_RATIO = 1e-6
 _CERT_MARGIN = 1e-6
@@ -341,8 +342,7 @@ def _exchange(a, sup, root, ref, reach):
 
     sup (c, k) holds supports the Lawson steps left undecided, root their
     sigma_min(A_S), and ref (c, p) a reference set of p = m - k + 1
-    off-support columns for each.  reach is sqrt(n / lambda_min(A A')),
-    or None where the screen may not refute.
+    off-support columns for each.  reach is sqrt(n / lambda_min(A A')).
     """
     k = sup.shape[1]
     m = a.shape[0]
@@ -368,14 +368,11 @@ def _exchange(a, sup, root, ref, reach):
         rhs = np.concatenate([np.ones((len(live), k)), -value[:, None] * sign], axis=1)
         w = (u @ ((vh[:, :m] @ rhs[:, :, None])[:, :, 0] / s)[:, :, None])[:, :, 0]
         corr, sure = _certify(w, a, sup, root)
-        if reach is None:
-            wrong = np.zeros_like(sure)
-        else:
-            # with r = A_S lam - A_J mu, every w of the dual set has 1'lam =
-            # mu' A_J' w + r' w <= max_J |a_j' w| + |r| |w|, and a minimizer
-            # with L <= 1 has |A' w|^2 <= n, so |w| <= reach
-            r = np.linalg.norm((pair @ dual[:, :, None])[:, :, 0], axis=1)
-            wrong = ~sure & (value - r * reach > 1.0 + _CERT_MARGIN)
+        # with r = A_S lam - A_J mu, every w of the dual set has 1'lam =
+        # mu' A_J' w + r' w <= max_J |a_j' w| + |r| |w|, and a minimizer
+        # with L <= 1 has |A' w|^2 <= n, so |w| <= reach
+        r = np.linalg.norm((pair @ dual[:, :, None])[:, :, 0], axis=1)
+        wrong = ~sure & (value - r * reach > 1.0 + _CERT_MARGIN)
         verdict[live[sure]] = 1
         verdict[live[wrong]] = -1
         # exchange: the most violated column l* comes in; a support whose l*
@@ -429,19 +426,15 @@ def _dual_screen(a, supports):
     A support with an all-zero column is refuted: basis pursuit leaves
     that entry at 0.  Other supports whose A_S' A_S has an eigenvalue
     ratio below _CERT_MIN_EIG_RATIO (repeated columns, k > m) stay
-    undecided.  Linearly dependent rows (eigenvalues of A A' at or below
-    _CERT_MIN_EIG_RATIO times the largest, as whenever m > n) are
-    screened on their row space: B = U' A, U the kept eigenvectors, so
-    b_l' w = a_l' (U w) for every w and a certificate for B is one for
-    A.  A refutation of B says nothing of A, whose dual set also reaches
-    along the dropped directions, so there the screen only certifies
-    (zero columns are still refuted).  supports is an int array of
-    shape (t, k), screened in chunks of _CERT_CHUNK supports.  The Lawson
-    steps run only when m <= _CERT_MAX_ROWS: M then comes from one
-    (chunk, n) @ (n, m^2) product with a table of the outer products
-    a_l a_l', so neither that table nor the per-chunk arrays grow past
-    O(_CERT_CHUNK max(n, _CERT_MAX_ROWS^2)) entries.  With more rows the
-    screen keeps the verdicts of iterate 0.
+    undecided.  supports is an int array of shape (t, k), screened in
+    chunks of _CERT_CHUNK supports.  The Lawson steps run only when m <=
+    _CERT_MAX_ROWS and the rows are linearly independent, lambda_min(A A')
+    > _CERT_MIN_EIG_RATIO lambda_max(A A'): M then comes from one (chunk,
+    n) @ (n, m^2) product with a table of the outer products a_l a_l', so
+    neither that table nor the per-chunk arrays grow past O(_CERT_CHUNK
+    max(n, _CERT_MAX_ROWS^2)) entries, and delta > 0.  With more rows, or
+    with dependent ones (a repeated row, or m > n), the screen keeps the
+    verdicts of iterate 0, and every support it leaves goes to the LP.
 
     The supports still undecided after the last Lawson step are pooled
     from every chunk, and up to _EXCHANGE_ROUNDS exchange rounds run on
@@ -455,29 +448,21 @@ def _dual_screen(a, supports):
     Every w of the dual set has 1'lam <= max_J |a_j' w| + |r| |w|, and a
     minimizer with L <= 1 has |w| <= sqrt(n / lambda_min(A A')), so the
     round refutes when 1'lam - |r| sqrt(n / lambda_min(A A')) > 1 +
-    _CERT_MARGIN (never on the row space).  The w with A_S' w = 1 and
-    sign(mu_j) a_j' w = 1'lam on J, the minimax over J, goes through the
-    certificate test above.  The most violated column then enters J and
-    the column the dual simplex ratio test names leaves it; a support
-    stops when its most violated column is already in J, which makes w
-    the minimizer over every column.  Both verdicts are inequalities that
-    hold for whatever (lam, mu) or w was computed.  The rounds are
-    skipped when p > n - k.
+    _CERT_MARGIN.  The w with A_S' w = 1 and sign(mu_j) a_j' w = 1'lam on
+    J, the minimax over J, goes through the certificate test above.  The
+    most violated column then enters J and the column the dual simplex
+    ratio test names leaves it; a support stops when its most violated
+    column is already in J, which makes w the minimizer over every
+    column.  Both verdicts are inequalities that hold for whatever (lam,
+    mu) or w was computed.  The rounds are skipped when p > n - k.
     """
     t, k = supports.shape
-    verdict = np.zeros(t, dtype=np.int8)
-    zero = ~a.any(axis=0)
-    lawson, refute = a.shape[0] <= _CERT_MAX_ROWS, True
-    if lawson:
-        eig_aa, vecs = np.linalg.eigh(a @ a.T)
-        kept = eig_aa > _CERT_MIN_EIG_RATIO * eig_aa[-1]
-        lawson = kept.any()
-        if lawson and not kept.all():
-            # dependent rows: certify on the row space, b_l' w = a_l' (U_r w)
-            refute = False
-            a, eig_aa = vecs[:, kept].T @ a, eig_aa[kept]
     m, n = a.shape
     cols = a.T
+    verdict = np.zeros(t, dtype=np.int8)
+    zero = ~a.any(axis=0)
+    lawson = m <= _CERT_MAX_ROWS and (
+        (eig_aa := np.linalg.eigvalsh(a @ a.T))[0] > _CERT_MIN_EIG_RATIO * eig_aa[-1])
     if lawson:
         delta = _CERT_MARGIN * eig_aa[0] / n
         ridge = delta * np.eye(m)
@@ -506,7 +491,7 @@ def _dual_screen(a, supports):
                 mw = (mat @ w[:, :, None])[:, :, 0] - delta * w
                 r = mw - (a_s * lam[:, :, None]).sum(axis=1)
                 bound = 2.0 * lam.sum(axis=1) - (w * mw).sum(axis=1) - (r * r).sum(axis=1) / delta
-                wrong = ~sure & (bound > (1.0 + _CERT_MARGIN) ** 2) & refute
+                wrong = ~sure & (bound > (1.0 + _CERT_MARGIN) ** 2)
                 weights *= corr
             v[live[sure]] = 1
             v[live[wrong]] = -1
@@ -528,7 +513,7 @@ def _dual_screen(a, supports):
             x = np.linalg.solve(mat, a_s.transpose(0, 2, 1))
     if pool:
         at, sup, root, ref = (np.concatenate(part) for part in zip(*pool))
-        reach = math.sqrt(n / eig_aa[0]) if refute else None
+        reach = math.sqrt(n / eig_aa[0])
         for lo in range(0, len(at), _CERT_CHUNK):
             part = slice(lo, lo + _CERT_CHUNK)
             verdict[at[part]] = _exchange(a, sup[part], root[part], ref[part], reach)

@@ -4,16 +4,19 @@ All randomness flows through numpy's PCG64 via default_rng.  Independent
 streams (trials, restarts, sampling) are keyed by an integer tuple fed to
 SeedSequence, so any fixed key reproduces the same draws on any platform.
 Seeds are folded into the unsigned 64-bit range first, which lets callers
-pass arbitrary signed integers.
+pass arbitrary signed integers; anything else (a bool, a fraction such
+as 1.5, a string) raises a ValueError rather than being truncated.
 """
 
 import numpy as np
+
+from .metrics import as_integer
 
 _MASK64 = (1 << 64) - 1
 
 
 def _key(streams):
-    return [int(s) & _MASK64 for s in streams]
+    return [as_integer(s, "seed") & _MASK64 for s in streams]
 
 
 def seeded_rng(*streams):

@@ -7,6 +7,7 @@ SystemExit), runtime failures with 1 (returned), and successes with 0.
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import insense
-from insense import experiment, load_matrix, save_matrix
+from insense import InsenseError, experiment, load_matrix, save_matrix
 from insense.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(insense.__file__)))
@@ -343,6 +344,27 @@ def test_benchmark_reads_matrix_file_relative_to_config(capsys, tmp_path):
     assert all(row[header.index("gaussian_ratio")] == "" for row in rows)
 
 
+def test_resolve_config_checks_the_matrix_as_an_ensemble_spec(tmp_path):
+    cfg = experiment.resolve_config(_benchmark_config(
+        "out", {"kind": "bernoulli01", "d": 12, "n": 8, "signed": True}))
+    assert cfg["matrix"] == {"kind": "bernoulli01", "d": 12, "n": 8, "gaussian_rows": 10,
+                             "signed": True}
+    for matrix, message in (
+        ({"kind": "gaussian", "d": 12, "n": 8, "sed": 3}, "unknown matrix keys: ['sed']"),
+        ({"file": "m.csv", "signed": False}, "unknown matrix keys: ['signed']"),
+        ({"kind": "gaussian", "d": 12, "n": 8, "seed": 3}, "unknown matrix keys: ['seed']"),
+        ({"kind": "identity-gaussian", "d": 12, "n": 8}, "d = 2n"),
+        ({"kind": "uniform-gaussian", "d": 12, "n": 8, "gaussian_rows": 12}, "gaussian_rows < d"),
+        ({"kind": "gaussian", "d": 0, "n": 8}, "d >= 1"),
+        ({"kind": "gaussian", "d": 12}, "n"),
+        ({"kind": "gaussian", "d": 12, "n": 8.0}, "n must be an integer"),
+        ({"kind": "bernoulli01", "d": 12, "n": 8, "signed": 1}, "signed"),
+    ):
+        with pytest.raises(InsenseError, match=re.escape(message)):
+            experiment.resolve_config(_benchmark_config("out", matrix), str(tmp_path))
+    assert not (tmp_path / "out").exists()
+
+
 def test_benchmark_config_errors_exit_1(capsys, tmp_path):
     variants = []
     base = _benchmark_config("out")
@@ -381,6 +403,18 @@ def test_benchmark_config_errors_exit_1(capsys, tmp_path):
     variants.append(dict(base, budgets=[4.5]))  # was truncated to 4
     variants.append(dict(base, matrix={"kind": "bernoulli01", "d": 12, "n": 8,
                                        "signed": "false"}))  # was read as true
+    # misspelled matrix keys were ignored, and the shape was checked only by
+    # run_benchmark
+    variants.append(dict(base, matrix={"kind": "gaussian", "d": 12, "n": 8,
+                                       "gaussian_row": 4, "sed": 3}))
+    variants.append(dict(base, matrix={"file": "m.csv", "d": 12}))
+    variants.append(dict(base, matrix={"kind": "gaussian", "d": 0, "n": 8}))
+    variants.append(dict(base, matrix={"kind": "gaussian", "n": 8}))
+    variants.append(dict(base, matrix={"kind": "gaussian", "d": 12.5, "n": 8}))
+    variants.append(dict(base, matrix={"kind": "identity-gaussian", "d": 12, "n": 8}))
+    variants.append(dict(base, matrix={"kind": "uniform-gaussian", "d": 12, "n": 8,
+                                       "gaussian_rows": 12}))
+    variants.append(dict(base, matrix={"kind": "warp", "d": 12, "n": 8}))
     variants.append(dict(base, sparsities=[1, 1]))
     variants.append(dict(base, trials=[2]))
     variants.append(dict(base, sample_cap=0))

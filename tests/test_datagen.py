@@ -82,6 +82,28 @@ def test_spec_validation():
         EnsembleSpec("gaussian", d=5, n=1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5),  # was the seed-1 matrix
+    ("seed", True),
+    ("d", 4.0),  # was a raw TypeError
+    ("n", "3"),
+    ("gaussian_rows", 2.0),
+    ("signed", "yes"),  # was read as true
+    ("signed", 1),
+])
+def test_spec_fields_must_be_integers_and_signed_a_bool(field, value):
+    fields = {"d": 4, "n": 3, field: value}
+    with pytest.raises(ValueError, match=field):
+        EnsembleSpec("bernoulli01", **fields)
+
+
+def test_spec_takes_numpy_integers_as_ints():
+    spec = EnsembleSpec("gaussian", d=np.int64(4), n=np.int32(3), seed=np.uint64(7))
+    assert (spec.d, spec.n, spec.seed) == (4, 3, 7)
+    assert all(type(v) is int for v in (spec.d, spec.n, spec.seed, spec.gaussian_rows))
+    json.dumps(manifest(spec))
+
+
 def test_manifest_structure():
     spec = EnsembleSpec("identity-gaussian", d=8, n=4, seed=11)
     info = manifest(spec)

@@ -164,6 +164,10 @@ _SCREENED_SWEEPS = {
 _FULLY_DECIDED = {"gaussian-10x40-k3-sampled": (174, 126), "gaussian-10x40-k5-sampled": (19, 281)}
 
 
+def _no_lp_model(a):
+    raise AssertionError("a sweep without LP trials built the LP model")
+
+
 def _lp_only(monkeypatch):
     monkeypatch.setattr(recovery, "_dual_screen",
                         lambda a, supports: np.zeros(len(supports), dtype=np.int8))
@@ -190,70 +194,63 @@ def test_certified_sweep_matches_unscreened_verdicts(case, monkeypatch):
         assert got.recovered == ref.recovered, got.support
 
 
-def test_full_row_sweep_keeps_the_fuchs_verdicts(monkeypatch):
-    # all 40 rows, as a recover run without a selection: past _CERT_MAX_ROWS
-    # the screen stops at iterate 0 and the rest goes to the LP
-    phi = np.random.default_rng(21).standard_normal((40, 80))
-    rows, k, cfg = np.arange(40), 10, BpConfig(seed=2, sample_cap=300)
-    assert len(rows) > recovery._CERT_MAX_ROWS
-    supports = np.array(_supports(80, k, cfg)[0])
-    verdicts = recovery._dual_screen(recovery._unit_columns(phi), supports)
-    with monkeypatch.context() as patch:
-        patch.setattr(recovery, "_CERT_ITERS", 0)
-        np.testing.assert_array_equal(
-            recovery._dual_screen(recovery._unit_columns(phi), supports), verdicts)
-    screened = evaluate_recovery(phi, rows, k, cfg, keep_trials=True)
-    _lp_only(monkeypatch)
-    plain = evaluate_recovery(phi, rows, k, cfg, keep_trials=True)
-    assert screened.certified == np.count_nonzero(verdicts > 0) > 0
-    assert screened.certified + screened.refuted < screened.total_trials
-    assert 0 < screened.exact_count == plain.exact_count < screened.total_trials
-    for got, ref in zip(screened.per_trial, plain.per_trial, strict=True):
-        assert got.support == ref.support
-        assert got.recovered == ref.recovered, got.support
-
-
-def _dependent_rows(case):
+def _fuchs_only_sweep(case):
+    """(phi, rows, k, cfg) of a sweep whose rows the Lawson steps do not take."""
     rng = np.random.default_rng(0)
+    if case == "full-rows-40x80":
+        # all 40 rows, as a recover run without a selection: past _CERT_MAX_ROWS
+        return (np.random.default_rng(21).standard_normal((40, 80)), np.arange(40), 10,
+                BpConfig(seed=2, sample_cap=300))
+    if case == "all-zero-rows":
+        phi = rng.standard_normal((10, 20))
+        phi[:4] = 0.0
+        return phi, np.arange(4), 2, BpConfig()
+    # linearly dependent rows
     if case == "duplicated-row":
         phi = rng.standard_normal((10, 30))
         phi[9] = phi[0]
-        return phi, 2
+        return phi, np.arange(10), 2, BpConfig()
     if case == "more-rows-than-columns":
-        return rng.standard_normal((20, 12)), 3
+        return rng.standard_normal((20, 12)), np.arange(20), 3, BpConfig()
     if case == "combined-rows":
         phi = rng.standard_normal((12, 40))
         phi[10], phi[11] = phi[0] - 2.0 * phi[3], 0.5 * phi[1] + phi[2]
-        return phi, 2
+        return phi, np.arange(12), 2, BpConfig()
     # a row this far from a copy: dependent to the screen, not to the LP
     noise = float(case.removeprefix("row-copied-with-noise-"))
     phi = rng.standard_normal((10, 30))
     phi[9] = phi[0] + noise * rng.standard_normal(30)
-    return phi, 2
+    return phi, np.arange(10), 2, BpConfig()
 
 
 @pytest.mark.parametrize("case", [
-    "duplicated-row", "more-rows-than-columns", "combined-rows",
-    "row-copied-with-noise-1e-5", "row-copied-with-noise-1e-6", "row-copied-with-noise-1e-7"])
-def test_dependent_rows_are_screened_on_their_row_space(case, monkeypatch):
-    phi, k = _dependent_rows(case)
-    rows = np.arange(phi.shape[0])
-    screened = evaluate_recovery(phi, rows, k, keep_trials=True)
+    "full-rows-40x80", "all-zero-rows", "duplicated-row", "more-rows-than-columns",
+    "combined-rows", "row-copied-with-noise-1e-5", "row-copied-with-noise-1e-6",
+    "row-copied-with-noise-1e-7"])
+def test_fallback_screen_keeps_the_fuchs_verdicts(case, monkeypatch):
+    phi, rows, k, cfg = _fuchs_only_sweep(case)
+    a = recovery._unit_columns(phi[rows])
+    supports = np.array(_supports(phi.shape[1], k, cfg)[0])
+    verdicts = recovery._dual_screen(a, supports)
     with monkeypatch.context() as patch:
-        # the Fuchs point alone, which is all these rows used to get
+        # the Fuchs point alone
         patch.setattr(recovery, "_CERT_ITERS", 0)
         patch.setattr(recovery, "_EXCHANGE_ROUNDS", 0)
-        fuchs = evaluate_recovery(phi, rows, k)
+        np.testing.assert_array_equal(recovery._dual_screen(a, supports), verdicts)
+    # iterate 0 refutes only a support with an all-zero column
+    np.testing.assert_array_equal(verdicts < 0, (~a.any(axis=0))[supports].any(axis=1))
+    with monkeypatch.context() as patch:
+        if case == "all-zero-rows":
+            # A A' = 0: every support is refuted, and no LP model is built
+            patch.setattr(recovery, "_BasisPursuit", _no_lp_model)
+        screened = evaluate_recovery(phi, rows, k, cfg, keep_trials=True)
     _lp_only(monkeypatch)
-    plain = evaluate_recovery(phi, rows, k, keep_trials=True)
-    lp_trials = screened.total_trials - screened.certified - screened.refuted
-    assert lp_trials < fuchs.total_trials - fuchs.certified - fuchs.refuted
-    # a refutation on the row space misses the dropped directions, so none is
-    # made, by the Lawson steps or by the exchange rounds
-    assert screened.refuted == 0
+    plain = evaluate_recovery(phi, rows, k, cfg, keep_trials=True)
+    assert screened.certified == np.count_nonzero(verdicts > 0)
+    assert screened.refuted == np.count_nonzero(verdicts < 0)
     # at 1e-7 whether a warm-started LP fails depends on the trials before it
-    # (7 failures without the screen, 25 with it, as before the row-space
-    # screen), so there only the trials both sweeps solved are compared
+    # (7 failures without the screen, 25 with it), so there only the trials
+    # both sweeps solved are compared
     if case != "row-copied-with-noise-1e-7":
         assert screened.solver_failures == plain.solver_failures == 0
     for got, ref in zip(screened.per_trial, plain.per_trial, strict=True):
@@ -263,10 +260,7 @@ def test_dependent_rows_are_screened_on_their_row_space(case, monkeypatch):
 
 
 def test_fully_decided_sweep_builds_no_lp_model(monkeypatch):
-    def no_lp(a):
-        raise AssertionError("a sweep without LP trials built the LP model")
-
-    monkeypatch.setattr(recovery, "_BasisPursuit", no_lp)
+    monkeypatch.setattr(recovery, "_BasisPursuit", _no_lp_model)
     phi, rows, k, cfg = _SCREENED_SWEEPS["gaussian-10x40-k3-sampled"]()
     report = evaluate_recovery(phi, rows, k, cfg)
     assert report.certified + report.refuted == report.total_trials == 300
@@ -307,14 +301,11 @@ def test_exchange_verdicts_hold_for_an_inexact_dual(monkeypatch):
     assert not recovered[verdicts < 0].any()
 
 
-@pytest.mark.parametrize("case", ["square", "more-rows-than-columns"])
+@pytest.mark.parametrize("case", ["square"])
 def test_exchange_is_skipped_without_enough_off_support_columns(case, monkeypatch):
     # a reference set takes p = m - k + 1 off-support columns; with m = n
-    # (here on the row space of 20 x 12) there are only n - k < p
-    if case == "square":
-        phi, k = np.random.default_rng(23).standard_normal((8, 8)), 2
-    else:
-        phi, k = _dependent_rows(case)
+    # there are only n - k < p (dependent rows never reach the exchange)
+    phi, k = np.random.default_rng(23).standard_normal((8, 8)), 2
     supports = np.array(list(itertools.combinations(range(phi.shape[1]), k)))
 
     def boom(*args):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from insense import derive_seed, seeded_rng
+from insense import derive_seed, select_random, seeded_rng
 
 
 def test_same_key_same_draws():
@@ -46,3 +46,24 @@ def test_empty_key_rejected():
         seeded_rng()
     with pytest.raises(ValueError):
         derive_seed()
+
+
+@pytest.mark.parametrize("key", [1.5, 2.0, True, np.bool_(False), "3", None])
+def test_non_integer_keys_are_rejected(key):
+    # 1.5 used to draw the seed-1 stream
+    with pytest.raises(ValueError, match="integer"):
+        seeded_rng(key)
+    with pytest.raises(ValueError, match="integer"):
+        derive_seed(7, key)
+
+
+def test_numpy_integer_keys_match_python_ints():
+    np.testing.assert_array_equal(seeded_rng(np.int64(-1), np.uint64(3)).random(4),
+                                  seeded_rng(-1, 3).random(4))
+
+
+def test_fractional_selection_seed_is_rejected():
+    # seed=2.7 used to give the seed-2 rows
+    phi = np.random.default_rng(0).standard_normal((12, 4))
+    with pytest.raises(ValueError, match="seed"):
+        select_random(phi, 4, seed=2.7)
