@@ -22,9 +22,9 @@ reweighting; the same weights give a lower bound on the least max
 pursuit solution: the trial counts as not recovered without an LP
 (residual and error NaN, counted in RecoveryReport.refuted).  On more
 rows, or on dependent ones, the screen keeps the Fuchs verdicts.  The
-supports the Lawson steps leave undecided are pooled from the whole
-sweep and get a few exchange rounds on a reference set of columns,
-which decide most of them too.  The undecided trials share the
+supports a few Lawson steps leave undecided are pooled from the whole
+sweep and get exchange rounds on a reference set of columns, which
+decide nearly all of them.  The undecided trials share the
 constraint matrix and only the measurement changes, so the first of them
 builds one HiGHS model, and the sweep re-solves it with new row bounds
 per trial, in support order: each solve is a dual simplex run without
@@ -39,6 +39,7 @@ differences leak into the planted amplitudes and the sweep stops
 measuring the property the selection controlled.
 """
 
+import contextlib
 import importlib.machinery
 import importlib.util
 import itertools
@@ -60,13 +61,15 @@ from .seeding import seeded_rng
 # ratio of A_S'A_S that is solved at all (and of A A' for the Lawson steps
 # to run), the gap to 1 that a certificate or a refutation must keep, the
 # Lawson steps after the Fuchs point, and the most rows for which those
-# steps run, and the exchange rounds after them
+# steps run, the most exchange rounds after them, and the rank-one updates
+# of an exchange inverse per fresh one
 _CERT_CHUNK = 512
 _CERT_MIN_EIG_RATIO = 1e-6
 _CERT_MARGIN = 1e-6
-_CERT_ITERS = 30
+_CERT_ITERS = 6
 _CERT_MAX_ROWS = 32
-_EXCHANGE_ROUNDS = 4
+_EXCHANGE_ROUNDS = 40
+_EXCHANGE_REFRESH = 16
 # basis pursuit: the largest equality residual of an accepted solution,
 # the per-entry error of an exact recovery, and the simplex iterations of
 # one solve (inside a sweep, counted from the previous trial's basis)
@@ -337,62 +340,123 @@ def _certify(w, a, sup, root):
     return corr, sure < 1.0 - _CERT_MARGIN
 
 
+def _inverse(mats):
+    """Batched inverse; a matrix LAPACK finds singular comes back as NaN."""
+    try:
+        return np.linalg.inv(mats)
+    except np.linalg.LinAlgError:
+        out = np.full_like(mats, np.nan)
+        for i, mat in enumerate(mats):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[i] = np.linalg.inv(mat)
+        return out
+
+
+def _bordered(cols, sup, ref, border):
+    """K = [[A_S, -A_J], [0, border']] for each support, shape (c, m + 1, m + 1)."""
+    c, k = sup.shape
+    m = cols.shape[1]
+    mat = np.zeros((c, m + 1, m + 1))
+    mat[:, :m, :k] = cols[sup].transpose(0, 2, 1)
+    mat[:, :m, k:] = -cols[ref].transpose(0, 2, 1)
+    mat[:, m, k:] = border
+    return mat
+
+
 def _exchange(a, sup, root, ref, reach):
     """Verdicts of up to _EXCHANGE_ROUNDS exchange rounds (see _dual_screen).
 
     sup (c, k) holds supports the Lawson steps left undecided, root their
     sigma_min(A_S), and ref (c, p) a reference set of p = m - k + 1
     off-support columns for each.  reach is sqrt(n / lambda_min(A A')).
+    Each support holds the inverse of its bordered matrix K = [[A_S, -A_J],
+    [0, sigma']], changed by a Sherman-Morrison rank-one update whenever K
+    changes; every _EXCHANGE_REFRESH-th update is a fresh batched inverse
+    instead.
     """
     k = sup.shape[1]
     m = a.shape[0]
     cols = a.T
     verdict = np.zeros(len(sup), dtype=np.int8)
     live = np.arange(len(sup))
-    for _ in range(_EXCHANGE_ROUNDS):
-        a_s, a_j = cols[sup], cols[ref]
-        pair = np.concatenate([a_s, -a_j], axis=1).transpose(0, 2, 1)  # [A_S, -A_J]
-        u, s, vh = np.linalg.svd(pair)
-        # a near-singular [A_S, -A_J] (copies of one column) ends its support's
-        # rounds; both verdicts below hold for whatever (lam, mu) and w were computed
-        ok = s[:, -1] ** 2 > _CERT_MIN_EIG_RATIO * s[:, 0] ** 2
-        s[~ok] = 1.0
-        # (lam, mu) spans the null space of [A_S, -A_J]; ||mu||_1 = 1, 1'lam >= 0
-        dual = vh[:, -1]
-        dual *= (np.where(dual[:, :k].sum(axis=1) < 0.0, -1.0, 1.0)
-                 / np.abs(dual[:, k:]).sum(axis=1))[:, None]
-        value, mu = dual[:, :k].sum(axis=1), dual[:, k:]
-        # the minimax over the reference set: A_S' w = 1 and sigma_j a_j' w =
-        # 1'lam with sigma = sign(mu), i.e. [A_S, -A_J]' w = [1; -1'lam sigma]
-        sign = np.where(mu < 0.0, -1.0, 1.0)
-        rhs = np.concatenate([np.ones((len(live), k)), -value[:, None] * sign], axis=1)
-        w = (u @ ((vh[:, :m] @ rhs[:, :, None])[:, :, 0] / s)[:, :, None])[:, :, 0]
+    # |K|_F^2 <= m + 1 + p with unit columns and a +-1 border, so K^-1 below
+    # this keeps the Frobenius condition number of K under 1 / _CERT_MIN_EIG_RATIO
+    limit = 1.0 / (_CERT_MIN_EIG_RATIO**2 * (2 * m - k + 2))
+    # a first inverse bordered with ones gives (lam, mu) with 1' mu = 1, and
+    # sigma = sign(mu); the border then becomes sigma, the first rank-one
+    # update: K gains e_m (0, sigma - 1)', and Sherman-Morrison divides by
+    # 1 + (sigma - 1)' mu = sigma' mu = ||mu||_1 >= 1
+    inv = _inverse(_bordered(cols, sup, ref, np.ones(ref.shape)))
+    border = np.where(inv[:, k:, m] < 0.0, -1.0, 1.0)
+    if _EXCHANGE_REFRESH > 1:
+        dual = inv[:, :, m].copy()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            row = ((border - 1.0)[:, :, None] * inv[:, k:]).sum(axis=1)
+            row /= np.abs(dual[:, k:]).sum(axis=1)[:, None]
+            inv -= dual[:, :, None] * row[:, None, :]
+    else:
+        inv = _inverse(_bordered(cols, sup, ref, border))
+    for step in range(_EXCHANGE_ROUNDS):
+        # (lam, mu) = K^-1 e_m, the null vector of [A_S, -A_J] with sigma' mu
+        # = 1, oriented with its border to 1'lam >= 0
+        dual = inv[:, :, m]
+        flip = dual[:, :k].sum(axis=1) < 0.0
+        dual[flip] *= -1.0
+        border[flip] *= -1.0
+        lam, mu = dual[:, :k], dual[:, k:]
+        value = lam.sum(axis=1)
+        # K' [w; h] = [1; 0]: A_S' w = 1 and sigma_j a_j' w = h = 1'lam on J,
+        # the minimax over J; both verdicts below hold for whatever (lam, mu)
+        # and w were computed
+        w = inv[:, :k, :m].sum(axis=1)
         corr, sure = _certify(w, a, sup, root)
-        # with r = A_S lam - A_J mu, every w of the dual set has 1'lam =
-        # mu' A_J' w + r' w <= max_J |a_j' w| + |r| |w|, and a minimizer
-        # with L <= 1 has |A' w|^2 <= n, so |w| <= reach
-        r = np.linalg.norm((pair @ dual[:, :, None])[:, :, 0], axis=1)
-        wrong = ~sure & (value - r * reach > 1.0 + _CERT_MARGIN)
+        # with r = A_S lam - A_J mu, every w of the dual set has 1'lam <=
+        # ||mu||_1 max_J |a_j' w| + |r| |w|, and a minimizer with L <= 1 has
+        # |A' w|^2 <= n, so |w| <= reach; r is needed only where 1'lam is large
+        bar = (1.0 + _CERT_MARGIN) * np.abs(mu).sum(axis=1)
+        wrong = ~sure & (value > bar)
+        if wrong.any():
+            at = np.flatnonzero(wrong)
+            r = np.linalg.norm(np.einsum("ckm,ck->cm", cols[sup[at]], lam[at])
+                               - np.einsum("cpm,cp->cm", cols[ref[at]], mu[at]), axis=1)
+            wrong[at] = value[at] - r * reach > bar[at]
         verdict[live[sure]] = 1
         verdict[live[wrong]] = -1
         # exchange: the most violated column l* comes in; a support whose l*
-        # is already in J has reached the minimax and stops
+        # is already in J has reached the minimax and stops, and so does one
+        # whose K^-1 is not finite or too large
         new = corr.argmax(axis=1)
-        keep = ok & ~(sure | wrong) & (ref != new[:, None]).all(axis=1)
+        keep = (~(sure | wrong) & (ref != new[:, None]).all(axis=1)
+                & (np.einsum("cij,cij->c", inv, inv) < limit))
         if not keep.any():
             break
-        live, sup, root, ref, new = live[keep], sup[keep], root[keep], ref[keep], new[keep]
-        # the dual simplex ratio test: with [A_S, -A_J] z = sigma* a_l*,
-        # sigma* = sign(a_l*' w), the duals (lam, mu) + theta z with
-        # mu_l* = theta sigma* raise 1'lam / ||mu||_1 as theta grows, until
-        # the first sigma_j mu_j reaches 0: the least sigma_j z_j / |mu_j|
-        # (a multiple of (lam, mu) added to z shifts all of these alike)
-        head = cols[new] * np.sign((w[keep] * cols[new]).sum(axis=1))[:, None]
-        z = (u[keep].transpose(0, 2, 1) @ head[:, :, None])[:, :, 0] / s[keep]
-        z = (vh[keep, :m, k:].transpose(0, 2, 1) @ z[:, :, None])[:, :, 0]
+        live, sup, root, ref, border, inv, new = (
+            x[keep] for x in (live, sup, root, ref, border, inv, new))
+        head = cols[new]
+        sign = np.where((w[keep] * head).sum(axis=1) < 0.0, -1.0, 1.0)
+        # the dual simplex ratio test: with z = K^-1 [sigma* a_l*; 0], sigma* =
+        # sign(a_l*' w), the duals (lam, mu) + theta z with mu_l* = theta sigma*
+        # raise 1'lam / ||mu||_1 as theta grows, until the first sigma_j mu_j
+        # reaches 0: the least sigma_j z_j / |mu_j|
+        z = (inv[:, :, :m] @ head[:, :, None])[:, :, 0] * sign[:, None]
+        dual = inv[:, :, m]
+        at = np.arange(len(live))
         with np.errstate(divide="ignore", invalid="ignore"):
-            drop = (z * sign[keep] / np.abs(mu[keep])).argmin(axis=1)
-        ref[np.arange(len(live)), drop] = new
+            drop = (z[:, k:] * border / np.abs(dual[:, k:])).argmin(axis=1)
+        ref[at, drop] = new
+        border[at, drop] = sign
+        # this exchange is update step + 2 of K^-1, the border change the first
+        if (step + 2) % _EXCHANGE_REFRESH:
+            # column k + drop of K becomes [-a_l*; sigma*], which K^-1 maps to
+            # d = sigma* ((lam, mu) - z)
+            d = sign[:, None] * (dual - z)
+            q = k + drop
+            with np.errstate(divide="ignore", invalid="ignore"):
+                row = inv[at, q] / d[at, q][:, None]
+                inv -= d[:, :, None] * row[:, None, :]
+            inv[at, q] = row
+        else:
+            inv = _inverse(_bordered(cols, sup, ref, border))
     return verdict
 
 
@@ -438,22 +502,26 @@ def _dual_screen(a, supports):
 
     The supports still undecided after the last Lawson step are pooled
     from every chunk, and up to _EXCHANGE_ROUNDS exchange rounds run on
-    the pool, _CERT_CHUNK supports per batch.  L is a discrete Chebyshev
-    problem, and the rounds are its Stiefel exchange (Cheney, Introduction
-    to Approximation Theory, 1966).  Each support keeps a
-    reference set J of p = m - k + 1 off-support columns, at first those
-    with the largest |a_l' w| at the last Lawson w.  A round takes (lam,
-    mu), the last right singular vector of the m x (m + 1) matrix [A_S,
-    -A_J] scaled to ||mu||_1 = 1 and 1'lam >= 0, and r = A_S lam - A_J mu.
-    Every w of the dual set has 1'lam <= max_J |a_j' w| + |r| |w|, and a
-    minimizer with L <= 1 has |w| <= sqrt(n / lambda_min(A A')), so the
-    round refutes when 1'lam - |r| sqrt(n / lambda_min(A A')) > 1 +
-    _CERT_MARGIN.  The w with A_S' w = 1 and sign(mu_j) a_j' w = 1'lam on
-    J, the minimax over J, goes through the certificate test above.  The
-    most violated column then enters J and the column the dual simplex
-    ratio test names leaves it; a support stops when its most violated
-    column is already in J, which makes w the minimizer over every
-    column.  Both verdicts are inequalities that hold for whatever (lam,
+    the pool, _CERT_CHUNK supports per batch; that many rounds only guard
+    against cycling, since the rounds decide nearly every support they
+    get.  L is a discrete Chebyshev problem, and the rounds are its Stiefel
+    exchange (Cheney, Introduction to Approximation Theory, 1966).  Each
+    support keeps a reference set J of p = m - k + 1 off-support columns,
+    at first those with the largest |a_l' w| at the last Lawson w, and the
+    inverse of the bordered matrix K = [[A_S, -A_J], [0, sigma']] with
+    sigma = sign(mu) (see _exchange).  A round reads from it (lam, mu), the
+    null vector of the m x (m + 1) matrix [A_S, -A_J] with sigma' mu = 1,
+    oriented to 1'lam >= 0, and r = A_S lam - A_J mu.  Every w of the dual
+    set has 1'lam <= ||mu||_1 max_J |a_j' w| + |r| |w|, and a minimizer
+    with L <= 1 has |w| <= sqrt(n / lambda_min(A A')), so the round refutes
+    when 1'lam - |r| sqrt(n / lambda_min(A A')) > (1 + _CERT_MARGIN)
+    ||mu||_1.  The w with A_S' w = 1 and sigma_j a_j' w = 1'lam on J, the
+    minimax over J, also read from the inverse, goes through the
+    certificate test above.  The most violated column then enters J and
+    the column the dual simplex ratio test names leaves it, a rank-one
+    change of K; a support stops when its most violated column is already
+    in J, which makes w the minimizer over every column, or when its K is
+    singular.  Both verdicts are inequalities that hold for whatever (lam,
     mu) or w was computed.  The rounds are skipped when p > n - k.
     """
     t, k = supports.shape

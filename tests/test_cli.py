@@ -113,13 +113,24 @@ def test_select_metrics_recover_round_trip(capsys, tmp_path):
     assert recovery["refuted"] == recovery["solver_failures"] == 0
     assert recovery["simplex_iterations"] == 0  # no trial reached an LP
 
-    # some trials of this sweep are neither certified nor refuted
+    # the screen decides every trial of this sweep, so no LP runs
     code, recovery = _run(
         capsys, ["recover", "--ensemble", "gaussian", "--d", "10", "--n", "40", "--k", "2"])
     assert code == 0
     decided = recovery["certified"] + recovery["refuted"]
     assert recovery["certified"] > 0 and recovery["refuted"] > 0
-    assert decided < recovery["total_trials"] == 780
+    assert decided == recovery["total_trials"] == 780
+    assert recovery["exact_count"] == recovery["certified"]
+    assert recovery["simplex_iterations"] == recovery["solver_failures"] == 0
+
+    # past 32 rows the screen keeps the Fuchs verdicts: some trials reach the LP
+    code, recovery = _run(
+        capsys, ["recover", "--ensemble", "gaussian", "--d", "40", "--n", "80", "--k", "5",
+                 "--sample-cap", "300"])
+    assert code == 0
+    decided = recovery["certified"] + recovery["refuted"]
+    assert recovery["certified"] > 0
+    assert decided < recovery["total_trials"] == 300
     assert recovery["simplex_iterations"] > 0 and recovery["solver_failures"] == 0
 
 

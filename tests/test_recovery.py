@@ -161,7 +161,22 @@ _SCREENED_SWEEPS = {
 }
 
 # sweeps the screen decides in full, exchange rounds included: (certified, refuted)
-_FULLY_DECIDED = {"gaussian-10x40-k3-sampled": (174, 126), "gaussian-10x40-k5-sampled": (19, 281)}
+_FULLY_DECIDED = {
+    "gaussian-10x40-k2": (718, 62),
+    "gaussian-10x40-k3-sampled": (174, 126),
+    "gaussian-10x40-k4-sampled": (74, 226),
+    "gaussian-10x40-k5-sampled": (19, 281),
+    "identity-gaussian-100x50-k2": (1091, 134),
+    "uniform-gaussian-200x200-k2-sampled": (606, 394),
+}
+
+# sweeps that still reach HiGHS: a case above, and the screen settings that
+# leave some of its trials undecided
+_LP_SWEEPS = {
+    "gaussian-10x40-k2-without-exchange": ("gaussian-10x40-k2", {"_EXCHANGE_ROUNDS": 0}),
+    "uniform-gaussian-200x200-k2-sampled-without-exchange": (
+        "uniform-gaussian-200x200-k2-sampled", {"_EXCHANGE_ROUNDS": 0}),
+}
 
 
 def _no_lp_model(a):
@@ -173,10 +188,14 @@ def _lp_only(monkeypatch):
                         lambda a, supports: np.zeros(len(supports), dtype=np.int8))
 
 
-@pytest.mark.parametrize("case", sorted(_SCREENED_SWEEPS))
+@pytest.mark.parametrize("case", sorted(_SCREENED_SWEEPS) + sorted(_LP_SWEEPS))
 def test_certified_sweep_matches_unscreened_verdicts(case, monkeypatch):
-    phi, rows, k, cfg = _SCREENED_SWEEPS[case]()
-    screened = evaluate_recovery(phi, rows, k, cfg, keep_trials=True)
+    base, settings = _LP_SWEEPS.get(case, (case, {}))
+    phi, rows, k, cfg = _SCREENED_SWEEPS[base]()
+    with monkeypatch.context() as patch:
+        for name, value in settings.items():
+            patch.setattr(recovery, name, value)
+        screened = evaluate_recovery(phi, rows, k, cfg, keep_trials=True)
     _lp_only(monkeypatch)
     plain = evaluate_recovery(phi, rows, k, cfg, keep_trials=True)
     assert plain.certified == plain.refuted == 0
@@ -186,6 +205,7 @@ def test_certified_sweep_matches_unscreened_verdicts(case, monkeypatch):
         assert screened.simplex_iterations == 0
     else:
         assert screened.certified + screened.refuted < screened.total_trials
+        assert screened.simplex_iterations > 0
     assert screened.exact_count == plain.exact_count
     assert screened.solver_failures == plain.solver_failures == 0
     assert screened.simplex_iterations < plain.simplex_iterations
@@ -278,21 +298,49 @@ def test_exchange_rounds_only_add_verdicts(monkeypatch):
     assert (verdicts[~decided] == 1).any() and (verdicts[~decided] == -1).any()
 
 
+def _screen_input(case):
+    """(a, supports) that a sweep of a _SCREENED_SWEEPS case screens."""
+    phi, rows, k, cfg = _SCREENED_SWEEPS[case]()
+    return recovery._unit_columns(phi[rows]), np.array(_supports(phi.shape[1], k, cfg)[0])
+
+
+@pytest.mark.parametrize("case", sorted(_SCREENED_SWEEPS))
+def test_rank_one_updates_match_a_fresh_inverse_every_round(case, monkeypatch):
+    a, supports = _screen_input(case)
+    verdicts = recovery._dual_screen(a, supports)
+    with monkeypatch.context() as patch:
+        # every rank-one update of an exchange inverse becomes a fresh inverse
+        patch.setattr(recovery, "_EXCHANGE_REFRESH", 1)
+        np.testing.assert_array_equal(recovery._dual_screen(a, supports), verdicts)
+    # the exchange rounds decided some of these supports
+    monkeypatch.setattr(recovery, "_EXCHANGE_ROUNDS", 0)
+    assert (recovery._dual_screen(a, supports) == 0).sum() > (verdicts == 0).sum()
+
+
+@pytest.mark.parametrize("case", sorted(_SCREENED_SWEEPS))
+def test_screen_verdicts_do_not_depend_on_the_support_order(case):
+    a, supports = _screen_input(case)
+    order = np.random.default_rng(24).permutation(len(supports))
+    np.testing.assert_array_equal(recovery._dual_screen(a, supports[order]),
+                                  recovery._dual_screen(a, supports)[order])
+
+
 def test_exchange_verdicts_hold_for_an_inexact_dual(monkeypatch):
-    # bias lam in the null vector the exchange reads from the SVD of
-    # [A_S, -A_J]: its residual must keep every refutation sound
+    # bias lam in (lam, mu), the last column of every inverse the exchange
+    # takes of its bordered matrices [[A_S, -A_J], [0, sigma']] (the rank-one
+    # updates carry it on): its residual must keep every refutation sound
     a = _gaussian_10x40()
     supports = np.array(list(itertools.combinations(range(40), 2)))
-    svd = np.linalg.svd
+    inv = np.linalg.inv
 
     def biased(x):
-        u, s, vh = svd(x)
-        lam = vh[:, -1, :2]
-        lam += 0.05 * np.where(lam.sum(axis=1, keepdims=True) < 0.0, -1.0, 1.0)
-        return u, s, vh
+        out = inv(x)
+        lam = out[..., :2, -1]
+        lam += 0.05 * np.where(lam.sum(axis=-1, keepdims=True) < 0.0, -1.0, 1.0)
+        return out
 
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "svd", biased)
+        patch.setattr(np.linalg, "inv", biased)
         verdicts = recovery._dual_screen(a, supports)
     _lp_only(monkeypatch)
     plain = evaluate_recovery(a, np.arange(10), 2, keep_trials=True)
@@ -339,6 +387,29 @@ def test_degenerate_reference_sets_leave_only_their_support_undecided(monkeypatc
     # copies, with 1'lam = 0, and no w certifies a support that is not recovered
     monkeypatch.setattr(recovery, "_EXCHANGE_ROUNDS", 1)
     assert recovery._exchange(a, sup[:2], root[:2], ref[:2], reach).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-13])
+def test_singular_bordered_matrix_ends_its_rounds(noise, monkeypatch):
+    # three (nearly) equal columns in J: [A_S, -A_J] loses rank, so every
+    # [[A_S, -A_J], [0, sigma']] is singular, exactly (LAPACK refuses it, and
+    # its inverse is NaN) or up to 1e-13 (a finite inverse far past the limit)
+    a = _gaussian_10x40().copy()
+    a[:, 34] = a[:, 33] = a[:, 32]
+    a[:, 33] += noise * a[:, 0]
+    sup, ref = np.array([[0, 1]]), np.array([[20, 21, 22, 23, 24, 25, 32, 33, 34]])
+    root = np.sqrt(np.linalg.eigvalsh(a.T[sup] @ a.T[sup].transpose(0, 2, 1))[:, 0])
+    reach = math.sqrt(40 / np.linalg.eigvalsh(a @ a.T)[0])
+    rounds = []
+    certify = recovery._certify
+
+    def counted(w, *args):
+        rounds.append(len(w))
+        return certify(w, *args)
+
+    monkeypatch.setattr(recovery, "_certify", counted)
+    assert recovery._exchange(a, sup, root, ref, reach).tolist() == [0]
+    assert rounds == [1]
 
 
 def test_screen_memory_does_not_grow_with_the_rows_squared():
@@ -408,14 +479,20 @@ def test_degenerate_supports_are_never_certified():
 def test_certificate_does_not_depend_on_the_chunk_size(monkeypatch):
     a = _gaussian_10x40()
     supports = np.array(list(itertools.combinations(range(40), 2)))
-    whole = recovery._dual_screen(a, supports)
-    monkeypatch.setattr(recovery, "_CERT_CHUNK", 7)
-    np.testing.assert_array_equal(recovery._dual_screen(a, supports), whole)
-    assert set(whole.tolist()) == {-1, 0, 1}
+    # the exchange rounds decide every support; without them some stay undecided
+    for rounds, outcomes in [(recovery._EXCHANGE_ROUNDS, {-1, 1}), (0, {-1, 0, 1})]:
+        monkeypatch.setattr(recovery, "_EXCHANGE_ROUNDS", rounds)
+        whole = recovery._dual_screen(a, supports)
+        with monkeypatch.context() as patch:
+            patch.setattr(recovery, "_CERT_CHUNK", 7)
+            np.testing.assert_array_equal(recovery._dual_screen(a, supports), whole)
+        assert set(whole.tolist()) == outcomes
 
 
 def test_iteration_limited_sweep_has_no_false_positives(monkeypatch):
-    # warm starts from the basis an iteration-limited solve left behind
+    # warm starts from the basis an iteration-limited solve left behind;
+    # without the exchange rounds the screen leaves trials to the LP
+    monkeypatch.setattr(recovery, "_EXCHANGE_ROUNDS", 0)
     rng = np.random.default_rng(12)
     phi = rng.standard_normal((10, 40))
     rows = np.arange(10)
@@ -423,6 +500,7 @@ def test_iteration_limited_sweep_has_no_false_positives(monkeypatch):
         patch.setattr(recovery, "_SIMPLEX_ITERATION_LIMIT", 3)
         limited = evaluate_recovery(phi, rows, 2, keep_trials=True)
     full = evaluate_recovery(phi, rows, 2, keep_trials=True)
+    assert full.certified + full.refuted < full.total_trials
     assert limited.solver_failures > 0 and full.solver_failures == 0
     for lim, ref in zip(limited.per_trial, full.per_trial):
         assert lim.support == ref.support
