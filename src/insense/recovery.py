@@ -42,7 +42,6 @@ measuring the property the selection controlled.
 import contextlib
 import importlib.machinery
 import importlib.util
-import itertools
 import math
 import os
 import sys
@@ -111,8 +110,9 @@ class BpConfig:
     """Sampling settings of a recovery sweep.
 
     A sweep runs every size-k support while (n choose k) is at most
-    sample_cap, and a seeded uniform sample of sample_cap supports above
-    it.  Both must be integers (bools are rejected), sample_cap >= 1.
+    sample_cap, and above it a uniform sample of sample_cap supports
+    drawn from seed.  Both must be integers (bools are rejected),
+    sample_cap >= 1.
     """
 
     seed: int = 0
@@ -301,26 +301,24 @@ def _unrank(ranks, n, k):
 
 
 def _supports(n, k, cfg):
-    """Every size-k support, or a seeded uniform sample above the cap."""
+    """Every size-k support, or a seeded uniform sample above the cap.
+
+    A (t, k) int array in lexicographic order, and whether it is sampled.
+    Below C(n, k) = 2^63 a sample is the sorted ranks of one
+    Generator.choice (Floyd's algorithm: O(sample_cap) time and memory);
+    past it, supports are drawn directly until sample_cap are distinct.
+    """
     total = math.comb(n, k)
     if total <= cfg.sample_cap:
-        return list(itertools.combinations(range(n), k)), False
+        return _unrank(np.arange(total), n, k), False
     rng = seeded_rng(cfg.seed)
-    if total <= max(4 * cfg.sample_cap, 1_000_000):
-        ranks = rng.permutation(total)[: cfg.sample_cap]
-    elif total < 2**63:
-        # collisions are rare at this size; rejection converges quickly
-        seen = set()
-        while len(seen) < cfg.sample_cap:
-            seen.add(int(rng.integers(total)))
-        ranks = list(seen)
-    else:
-        # ranks no longer fit in int64: draw uniform supports directly
-        seen = set()
-        while len(seen) < cfg.sample_cap:
-            seen.add(tuple(sorted(rng.choice(n, k, replace=False).tolist())))
-        return sorted(seen), True
-    return list(map(tuple, _unrank(np.sort(ranks), n, k).tolist())), True
+    if total < 2**63:
+        ranks = rng.choice(total, cfg.sample_cap, replace=False, shuffle=False)
+        return _unrank(np.sort(ranks), n, k), True
+    seen = set()
+    while len(seen) < cfg.sample_cap:
+        seen.add(tuple(sorted(rng.choice(n, k, replace=False).tolist())))
+    return np.array(sorted(seen)), True
 
 
 def _certify(w, a, sup, root):
@@ -591,13 +589,14 @@ def _dual_screen(a, supports):
 def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
     """Exact-recovery percentage of unit-magnitude k-sparse signals.
 
-    cfg (a BpConfig) picks the supports.  For each support, plants x with
-    ones on the support, measures y = A @ x through the column-normalized
-    submatrix A, and counts the trial as exact when basis pursuit
-    reproduces x to within _EXACT_TOL (1e-4) in every entry.  The dual
-    screen (see _dual_screen) decides most supports without an LP: a
-    certified one is exact, with residual and error reported as 0.0; a
-    refuted one is not, with residual and error NaN because no LP ran.
+    cfg (a BpConfig) picks the supports, run in lexicographic order (see
+    _supports).  For each support, plants x with ones on the support,
+    measures y = A @ x through the column-normalized submatrix A, and
+    counts the trial as exact when basis pursuit reproduces x to within
+    _EXACT_TOL (1e-4) in every entry.  The dual screen (see _dual_screen)
+    decides most supports without an LP: a certified one is exact, with
+    residual and error reported as 0.0; a refuted one is not, with
+    residual and error NaN because no LP ran.
     Only the undecided supports go to basis pursuit: a solver failure
     marks the trial as not recovered (error inf), is counted in
     solver_failures, and the sweep goes on.  The LP trials share one
@@ -625,11 +624,11 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
     k = whole
     a = _unit_columns(phi[idx])
     supports, sampled = _supports(n, k, cfg)
-    verdicts = _dual_screen(a, np.array(supports))
+    verdicts = _dual_screen(a, supports)
     bp = None  # built by the first trial that reaches an LP
     trials = [] if keep_trials else None
     exact = failures = 0
-    for support, verdict in zip(supports, verdicts.tolist()):
+    for support, verdict in zip(map(tuple, supports.tolist()), verdicts.tolist()):
         if verdict:
             recovered = verdict > 0
             residual = err = 0.0 if recovered else math.nan

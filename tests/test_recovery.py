@@ -106,7 +106,7 @@ def _sweep_vs_linprog(a, k, cfg):
     reference optimum is not unique.  Returns (trials, trials that agree).
     """
     n = a.shape[1]
-    supports, _ = _supports(n, k, cfg)
+    supports = list(map(tuple, _supports(n, k, cfg)[0].tolist()))
     report = evaluate_recovery(a, np.arange(a.shape[0]), k, cfg, keep_trials=True)
     assert [t.support for t in report.per_trial] == supports
     bp = recovery._BasisPursuit(a)
@@ -163,11 +163,11 @@ _SCREENED_SWEEPS = {
 # sweeps the screen decides in full, exchange rounds included: (certified, refuted)
 _FULLY_DECIDED = {
     "gaussian-10x40-k2": (718, 62),
-    "gaussian-10x40-k3-sampled": (174, 126),
-    "gaussian-10x40-k4-sampled": (74, 226),
-    "gaussian-10x40-k5-sampled": (19, 281),
+    "gaussian-10x40-k3-sampled": (177, 123),
+    "gaussian-10x40-k4-sampled": (69, 231),
+    "gaussian-10x40-k5-sampled": (20, 280),
     "identity-gaussian-100x50-k2": (1091, 134),
-    "uniform-gaussian-200x200-k2-sampled": (606, 394),
+    "uniform-gaussian-200x200-k2-sampled": (589, 411),
 }
 
 # sweeps that still reach HiGHS: a case above, and the screen settings that
@@ -250,7 +250,7 @@ def _fuchs_only_sweep(case):
 def test_fallback_screen_keeps_the_fuchs_verdicts(case, monkeypatch):
     phi, rows, k, cfg = _fuchs_only_sweep(case)
     a = recovery._unit_columns(phi[rows])
-    supports = np.array(_supports(phi.shape[1], k, cfg)[0])
+    supports = _supports(phi.shape[1], k, cfg)[0]
     verdicts = recovery._dual_screen(a, supports)
     with monkeypatch.context() as patch:
         # the Fuchs point alone
@@ -284,7 +284,7 @@ def test_fully_decided_sweep_builds_no_lp_model(monkeypatch):
     phi, rows, k, cfg = _SCREENED_SWEEPS["gaussian-10x40-k3-sampled"]()
     report = evaluate_recovery(phi, rows, k, cfg)
     assert report.certified + report.refuted == report.total_trials == 300
-    assert report.exact_count == 174 and report.simplex_iterations == 0
+    assert report.exact_count == 177 and report.simplex_iterations == 0
 
 
 def test_exchange_rounds_only_add_verdicts(monkeypatch):
@@ -301,7 +301,7 @@ def test_exchange_rounds_only_add_verdicts(monkeypatch):
 def _screen_input(case):
     """(a, supports) that a sweep of a _SCREENED_SWEEPS case screens."""
     phi, rows, k, cfg = _SCREENED_SWEEPS[case]()
-    return recovery._unit_columns(phi[rows]), np.array(_supports(phi.shape[1], k, cfg)[0])
+    return recovery._unit_columns(phi[rows]), _supports(phi.shape[1], k, cfg)[0]
 
 
 @pytest.mark.parametrize("case", sorted(_SCREENED_SWEEPS))
@@ -431,7 +431,7 @@ _ORACLE_SWEEPS = [(2, BpConfig()), (3, BpConfig(seed=5, sample_cap=300))]
 @pytest.mark.parametrize("k, cfg", _ORACLE_SWEEPS)
 def test_certified_trials_have_a_unique_bp_optimum(k, cfg):
     a = _gaussian_10x40()
-    supports = np.array(_supports(40, k, cfg)[0])
+    supports = _supports(40, k, cfg)[0]
     certified = recovery._dual_screen(a, supports) > 0
     assert certified.any()
     for support in supports[certified]:
@@ -444,7 +444,7 @@ def test_certified_trials_have_a_unique_bp_optimum(k, cfg):
 def test_refuted_trials_have_a_smaller_l1_optimum(k, cfg):
     # a refutation claims 1_S is not a minimizer: cold linprog must beat ||1_S||_1 = k
     a = _gaussian_10x40()
-    supports = np.array(_supports(40, k, cfg)[0])
+    supports = _supports(40, k, cfg)[0]
     refuted = recovery._dual_screen(a, supports) < 0
     assert refuted.any()
     for support in supports[refuted]:
@@ -686,20 +686,48 @@ def test_solver_failure_marks_trial_and_continues(monkeypatch):
 def test_supports_sample_when_the_count_overflows_int64():
     assert math.comb(2000, 12) >= 2**63
     cfg = BpConfig(seed=3, sample_cap=5)
-    supports, sampled = _supports(2000, 12, cfg)
+    drawn, sampled = _supports(2000, 12, cfg)
+    supports = list(map(tuple, drawn.tolist()))
     assert sampled and len(set(supports)) == len(supports) == 5
     assert supports == sorted(supports)
     assert all(len(s) == 12 and list(s) == sorted(set(s)) and 0 <= s[0] and s[-1] < 2000
                for s in supports)
-    assert _supports(2000, 12, cfg) == (supports, True)
+    again, sampled = _supports(2000, 12, cfg)
+    assert sampled and again.tolist() == drawn.tolist()
 
 
 def test_support_draws_below_the_int64_limit_are_pinned():
-    # both rank-drawing branches: a permutation, and rejection over ranks
-    assert _supports(12, 3, BpConfig(seed=1, sample_cap=4)) == (
-        [(0, 1, 9), (0, 2, 7), (4, 6, 9), (5, 7, 11)], True)
-    assert _supports(200, 5, BpConfig(seed=0, sample_cap=3)) == (
-        [(14, 17, 28, 83, 120), (26, 48, 49, 91, 127), (36, 51, 128, 160, 180)], True)
+    # one draw of ranks, for C(12, 3) = 220 as for C(200, 5) ~ 2.5e9
+    drawn, sampled = _supports(12, 3, BpConfig(seed=1, sample_cap=4))
+    assert sampled and drawn.tolist() == [[2, 3, 6], [2, 4, 8], [4, 5, 7], [6, 10, 11]]
+    drawn, sampled = _supports(200, 5, BpConfig(seed=0, sample_cap=3))
+    assert sampled and drawn.tolist() == [
+        [26, 48, 49, 91, 127], [36, 51, 128, 160, 179], [62, 92, 138, 151, 180]]
+
+
+def test_support_draw_memory_follows_the_cap_not_the_count():
+    # C(40, 5) = 658 008 ranks: holding all of them would take over 5 MB
+    tracemalloc.start()
+    try:
+        _supports(40, 5, BpConfig(seed=5, sample_cap=300))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_sampled_supports_are_uniform():
+    # 110 of the 220 supports per seed: each is drawn 200 +- 10 times over
+    # 400 seeds, and the bounds sit 6 standard deviations out
+    drawn = np.concatenate(
+        [_supports(12, 3, BpConfig(seed=seed, sample_cap=110))[0] for seed in range(400)])
+    _, counts = np.unique(drawn, axis=0, return_counts=True)
+    assert len(counts) == math.comb(12, 3) and 140 <= counts.min() and counts.max() <= 260
+    # 300 supports of C(30, 4) per seed: each column is in 4/30 of them
+    drawn = np.concatenate(
+        [_supports(30, 4, BpConfig(seed=seed, sample_cap=300))[0] for seed in range(200)])
+    counts = np.bincount(drawn.ravel(), minlength=30)
+    assert np.all(np.abs(counts - 8000) <= 450), counts
 
 
 def test_unrank_matches_lexicographic_order():
