@@ -17,6 +17,7 @@ from insense import (
     EnsembleSpec,
     InfeasibleConstraintError,
     InsenseConfig,
+    NumericalFailureError,
     SelectionResult,
     coherence_objective,
     generate,
@@ -202,6 +203,55 @@ def test_stop_reasons(monkeypatch):
     assert blind.subset_iteration == blind.iterations
 
 
+def _objective_turns_at(monkeypatch, after, value):
+    """From the first evaluation after accepted step `after` on, the objective reads value(f).
+
+    With after=0 the turn comes right after the evaluation at the start.
+    """
+    state = {"turned": after == 0, "evals": 0}
+    true_objective = optimizer._objective_from_gram
+
+    def objective(gram, eps1, eps2):
+        state["evals"] += 1
+        f = true_objective(gram, eps1, eps2)
+        return value(f) if state["turned"] and state["evals"] > 1 else f
+
+    def callback(iteration, z, f):
+        state["z"], state["f"], state["evals_then"] = z.copy(), f, state["evals"]
+        state["turned"] = iteration >= after
+
+    monkeypatch.setattr(optimizer, "_objective_from_gram", objective)
+    return state, callback
+
+
+@pytest.mark.parametrize("after", [0, 2])
+def test_no_descent_when_every_trial_is_rejected(monkeypatch, after):
+    phi = generate(EnsembleSpec("gaussian", d=60, n=60, seed=0))
+    # finite, and above every objective the descent has seen
+    state, callback = _objective_turns_at(monkeypatch, after, lambda f: np.finfo(float).max)
+    result = run_insense(phi, 20, callback=callback)
+    assert (result.stop_reason, result.converged) == ("no_descent", True)
+    assert result.iterations == after + 1
+    assert len(result.objective_trace) == after + 1
+    assert np.all(np.diff(result.objective_trace) <= 0.0)
+    # the failed step tried every backtrack and moved nothing
+    assert result.objective_evals == state.get("evals_then", 1) + optimizer._MAX_BACKTRACKS
+    if after:
+        np.testing.assert_array_equal(result.final_weights, state["z"])
+        assert result.final_objective == state["f"]
+    else:
+        np.testing.assert_array_equal(result.final_weights, np.full(60, 20 / 60))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_objective_mid_descent_raises(monkeypatch, bad):
+    phi = generate(EnsembleSpec("gaussian", d=60, n=60, seed=0))
+    _, callback = _objective_turns_at(monkeypatch, 2, lambda f: bad)
+    with pytest.raises(NumericalFailureError) as failure:
+        run_insense(phi, 20, callback=callback)
+    assert failure.value.iteration == 3
+
+
 def test_hot_layers_are_called_by_module_name(monkeypatch):
     # per-layer tracing wraps these module-global names of insense.optimizer
     calls = collections.Counter()
@@ -366,6 +416,34 @@ def test_trace_descends_and_iterates_stay_feasible():
             assert abs(z.sum() - m) <= SUM_TOL
             assert z.min() >= -BOX_TOL and z.max() <= 1.0 + BOX_TOL
         assert [it for it, _, _ in seen][: len(seen)] == list(range(1, len(seen) + 1))
+
+
+@pytest.mark.parametrize(
+    "ensemble, cfg",
+    [
+        (dict(kind="identity-gaussian", d=100, n=50), dict(init="uniform-plus-jitter", restarts=3)),
+        (dict(kind="gaussian", d=100, n=100), {}),
+    ],
+    ids=["identity-gaussian", "gaussian-100"],
+)
+def test_reported_objective_matches_a_fresh_evaluation(ensemble, cfg):
+    # the descent carries its Gram matrix from step to step; every accepted
+    # iterate's objective must equal the one computed from its weights
+    m = 10 if ensemble["kind"] == "identity-gaussian" else 20
+    for seed in range(10):
+        phi = generate(EnsembleSpec(**ensemble, seed=seed))
+        run_cfg = InsenseConfig(seed=seed, **cfg)
+        scaled = optimizer._unit_rms_scale(phi)
+        seen = []
+        result = run_insense(phi, m, run_cfg, callback=lambda it, z, f: seen.append((z.copy(), f)))
+        assert len(seen) > 0
+        for z, f in seen:
+            assert f == pytest.approx(coherence_objective(scaled, z, run_cfg), rel=1e-12, abs=0.0)
+            assert abs(z.sum() - m) <= SUM_TOL
+            assert z.min() >= -BOX_TOL and z.max() <= 1.0 + BOX_TOL
+        assert result.final_objective == pytest.approx(
+            coherence_objective(scaled, result.final_weights, run_cfg), rel=1e-12, abs=0.0
+        )
 
 
 def test_run_is_deterministic():
