@@ -10,6 +10,14 @@ through the weighted column Gram matrix
 summing (G_ij^2 + eps1) / (G_ii G_jj + eps2) over column pairs i < j; the
 epsilons keep the ratio bounded when weighted column norms vanish.
 
+Each step projects z - s * grad onto the set once and forms the Gram of
+that end point p once.  The line search then backtracks along the segment
+z + t (p - z), t = 1, 1/2, 1/4, ..., which stays feasible because the set
+is convex.  G is linear in z, so the Gram of a segment point is
+(1 - t) G(z) + t G(p): a backtrack costs one O(n^2) combination and one
+objective pass, with no projection and no new Gram (monotone spectral
+projected gradient, Birgin, Martinez & Raydan, SIAM J. Optim. 2000).
+
 The reported subset is the best rounding seen along the descent path, not
 the rounding of the final weights alone.  Fractional weights can null the
 off-diagonal mass in ways no m-row subset can (spreading tiny weight over
@@ -31,7 +39,8 @@ from .seeding import seeded_rng
 
 INIT_MODES = ("uniform", "uniform-plus-jitter")
 # line search: first trial step (and cap of every Barzilai-Borwein step),
-# shrink factor per backtrack, and backtracks before giving up
+# shrink factor of the segment fraction t per backtrack, and backtracks
+# along the segment before the step counts as no descent
 _LS_INIT_STEP = 1.0
 _LS_SHRINK = 0.5
 _MAX_BACKTRACKS = 50
@@ -106,8 +115,9 @@ class SelectionResult:
     length, and final weights equal to that run's iterate at the same
     iteration.
     objective_evals counts the objective evaluations of the whole call,
-    rejected line-search candidates and every restart included: the
-    work done, one Gram matrix each.
+    rejected line-search candidates and every restart included.  Only the
+    first trial of a step forms a Gram matrix (over the nonzero weights of
+    the projected point); each backtrack combines two Grams in O(n^2).
     """
 
     subset: np.ndarray
@@ -209,23 +219,19 @@ def _initial_weights(d, m, cfg, rng):
     return z
 
 
-def _objective_at(phi, z, cfg):
-    gram = gram_matrix(phi, z)
-    return _objective_from_gram(gram, cfg.eps1, cfg.eps2), gram
-
-
 def _round_to_subset(z, m):
     top = np.argsort(-z, kind="stable")[:m]
     return np.sort(top)
 
 
 def _bb_step(dz, dg, last, cap):
-    """First trial step of a line search: the Barzilai-Borwein step.
+    """Gradient step s of the point a line search projects: the BB step.
 
     dz and dg are the changes of the weights and of the gradient over the
     last accepted step; their BB1 ratio dz.dz / dz.dg is capped at `cap`.
     Without positive curvature along dz, or with a non-finite ratio, the
-    search starts from `last`, the last accepted step.
+    search uses `last`, the step actually taken last time: s times the
+    accepted segment fraction t.
     """
     curvature = float(dz @ dg)
     if curvature > 0.0:
@@ -253,7 +259,8 @@ def _unit_rms_scale(phi):
 
 def _run_single(phi, m, cfg, rng, callback=None):
     z = _initial_weights(phi.shape[0], m, cfg, rng)
-    f, gram = _objective_at(phi, z, cfg)
+    gram = gram_matrix(phi, z)
+    f = _objective_from_gram(gram, cfg.eps1, cfg.eps2)
     if not np.isfinite(f):
         raise NumericalFailureError("objective non-finite at the initial point", iteration=0)
     trace = [f]
@@ -268,10 +275,12 @@ def _run_single(phi, m, cfg, rng, callback=None):
         grad = weight_gradient(phi, gram, cfg)
         if iterations > 1:
             step = _bb_step(z - z_prev, grad - grad_prev, step, _LS_INIT_STEP)
-        accepted = False
+        # backtracks move along the segment from z to end (module docstring)
+        end = project_sbs(z - step * grad, m).z
+        gram_end = gram_matrix(phi, end)
+        t, gram_cand = 1.0, gram_end
         for _ in range(_MAX_BACKTRACKS):
-            cand = project_sbs(z - step * grad, m).z
-            f_cand, gram_cand = _objective_at(phi, cand, cfg)
+            f_cand = _objective_from_gram(gram_cand, cfg.eps1, cfg.eps2)
             evals += 1
             if not np.isfinite(f_cand):
                 raise NumericalFailureError(
@@ -279,16 +288,18 @@ def _run_single(phi, m, cfg, rng, callback=None):
                     iteration=iterations,
                 )
             if f_cand <= f:
-                accepted = True
                 break
-            step *= _LS_SHRINK
-        if not accepted:
+            t *= _LS_SHRINK
+            gram_cand = (1.0 - t) * gram + t * gram_end
+        else:
             # no step at resolvable sizes descends; treat as converged
             stop_reason = "no_descent"
             break
         rel_change = abs(f_cand - f) / max(abs(f), _REL_FLOOR)
+        step *= t
         z_prev, grad_prev = z, grad
-        z, f, gram = cand, f_cand, gram_cand
+        z = end if t == 1.0 else (1.0 - t) * z + t * end
+        f, gram = f_cand, gram_cand
         trace.append(f)
         subset = _round_to_subset(z, m)
         # a repeated rounding repeats its score, which cannot beat best
