@@ -204,7 +204,7 @@ def test_stop_reasons(monkeypatch):
 
 
 def _objective_turns_at(monkeypatch, after, value):
-    """From the first evaluation after accepted step `after` on, the objective reads value(f).
+    """The objective reads value(f) from the first evaluation after accepted step `after` on.
 
     With after=0 the turn comes right after the evaluation at the start.
     """
@@ -429,17 +429,17 @@ def test_trace_descends_and_iterates_stay_feasible():
 
 
 @pytest.mark.parametrize(
-    "ensemble, cfg",
+    "ensemble, m, cfg",
     [
-        (dict(kind="identity-gaussian", d=100, n=50), dict(init="uniform-plus-jitter", restarts=3)),
-        (dict(kind="gaussian", d=100, n=100), {}),
+        (dict(kind="identity-gaussian", d=100, n=50), 10,
+         dict(init="uniform-plus-jitter", restarts=3)),
+        (dict(kind="gaussian", d=100, n=100), 20, {}),
     ],
     ids=["identity-gaussian", "gaussian-100"],
 )
-def test_reported_objective_matches_a_fresh_evaluation(ensemble, cfg):
+def test_reported_objective_matches_a_fresh_evaluation(ensemble, m, cfg):
     # the descent carries its Gram matrix from step to step; every accepted
     # iterate's objective must equal the one computed from its weights
-    m = 10 if ensemble["kind"] == "identity-gaussian" else 20
     for seed in range(10):
         phi = generate(EnsembleSpec(**ensemble, seed=seed))
         run_cfg = InsenseConfig(seed=seed, **cfg)
