@@ -38,14 +38,15 @@ def select_fp_greedy(phi, m):
     sq = (phi @ phi.T) ** 2
     np.fill_diagonal(sq, 0.0)
     # contrib[i] = row i's total squared overlap with the surviving rows;
-    # removing i lowers the frame potential by exactly contrib[i]
+    # removing i lowers the frame potential by exactly contrib[i], and a
+    # removed row's is -inf, so it is never picked again
     contrib = sq.sum(axis=1)
     alive = np.ones(d, dtype=bool)
     for _ in range(d - m):
-        cand = np.nonzero(alive)[0]
-        worst = cand[np.argmax(contrib[cand])]  # argmax keeps the lowest index on ties
+        worst = np.argmax(contrib)  # argmax keeps the lowest index on ties
         alive[worst] = False
         contrib -= sq[:, worst]
+        contrib[worst] = -np.inf
     return np.nonzero(alive)[0]
 
 

@@ -16,6 +16,7 @@ environment variable supplies the default output directory.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -252,7 +253,9 @@ def cmd_benchmark(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="insense",
         description=(

@@ -96,16 +96,15 @@ def project_sbs(y, m):
     ys = y[order]
     prefix = np.concatenate(([0.0], np.cumsum(ys)))
 
+    # Both boundary scans in one pass over 2d thresholds.
     # k0 = largest k with sum_i clamp(ys_i - ys_k, 0, 1) >= m:
     # those k smallest coordinates clamp to 0.
-    s0 = _clamp_sum(ys, prefix, ys)
-    hits0 = np.nonzero(s0 >= m)[0]
-    k0 = int(hits0[-1]) + 1 if hits0.size else 0
-
     # Mirrored scan for the coordinates that clamp to 1: the k-th largest
     # coordinate clamps when sum_i clamp(ys_i - (ys_(k) - 1), 0, 1) <= m.
-    s1 = _clamp_sum(ys, prefix, ys[::-1] - 1.0)
-    hits1 = np.nonzero(s1 <= m)[0]
+    sums = _clamp_sum(ys, prefix, np.concatenate((ys, ys[::-1] - 1.0)))
+    hits0 = np.nonzero(sums[:d] >= m)[0]
+    k0 = int(hits0[-1]) + 1 if hits0.size else 0
+    hits1 = np.nonzero(sums[d:] <= m)[0]
     k1 = int(hits1[-1]) + 1 if hits1.size else 0
 
     interior = d - k0 - k1

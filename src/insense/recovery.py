@@ -485,18 +485,20 @@ def _dual_screen(a, supports):
     _CERT_MARGIN lambda_min(A A') / n, so D > (1 + _CERT_MARGIN)^2 forces
     L > 1.  An inexact solve can only make a verdict less likely.
 
-    A support with an all-zero column is refuted: basis pursuit leaves
-    that entry at 0.  Other supports whose A_S' A_S has an eigenvalue
-    ratio below _CERT_MIN_EIG_RATIO (repeated columns, k > m) stay
-    undecided.  supports is an int array of shape (t, k), screened in
-    chunks of _CERT_CHUNK supports.  The Lawson steps run only when m <=
-    _CERT_MAX_ROWS and the rows are linearly independent, lambda_min(A A')
-    > _CERT_MIN_EIG_RATIO lambda_max(A A'): M then comes from one (chunk,
-    n) @ (n, m^2) product with a table of the outer products a_l a_l', so
-    neither that table nor the per-chunk arrays grow past O(_CERT_CHUNK
-    max(n, _CERT_MAX_ROWS^2)) entries, and delta > 0.  With more rows, or
-    with dependent ones (a repeated row, or m > n), the screen keeps the
-    verdicts of iterate 0, and every support it leaves goes to the LP.
+    A support with an all-zero column is refuted before any batch, and
+    no batch holds it: basis pursuit leaves that entry at 0.  Other
+    supports whose A_S' A_S has an eigenvalue ratio below
+    _CERT_MIN_EIG_RATIO (repeated columns, k > m) stay undecided.
+    supports is an int array of shape (t, k); the supports without a
+    zero column are screened in chunks of _CERT_CHUNK.  The Lawson steps
+    run only when m <= _CERT_MAX_ROWS and the rows are linearly
+    independent, lambda_min(A A') > _CERT_MIN_EIG_RATIO lambda_max(A A'):
+    M then comes from one (chunk, n) @ (n, m^2) product with a table of
+    the outer products a_l a_l', so neither that table nor the per-chunk
+    arrays grow past O(_CERT_CHUNK max(n, _CERT_MAX_ROWS^2)) entries, and
+    delta > 0.  With more rows, or with dependent ones (a repeated row, or
+    m > n), the screen keeps the verdicts of iterate 0, and every support
+    it leaves goes to the LP.
 
     The supports still undecided after the last Lawson step are pooled
     from every chunk, and up to _EXCHANGE_ROUNDS exchange rounds run on
@@ -525,8 +527,10 @@ def _dual_screen(a, supports):
     t, k = supports.shape
     m, n = a.shape
     cols = a.T
+    dead = (~a.any(axis=0))[supports].any(axis=1)
     verdict = np.zeros(t, dtype=np.int8)
-    zero = ~a.any(axis=0)
+    verdict[dead] = -1
+    rest = np.flatnonzero(~dead)
     lawson = m <= _CERT_MAX_ROWS and (
         (eig_aa := np.linalg.eigvalsh(a @ a.T))[0] > _CERT_MIN_EIG_RATIO * eig_aa[-1])
     if lawson:
@@ -535,14 +539,14 @@ def _dual_screen(a, supports):
         outer = (cols[:, :, None] * cols[:, None, :]).reshape(n, m * m)
     pool = []  # (positions, supports, sigma_min(A_S), reference sets) the Lawson steps left
     p = m - k + 1
-    for lo in range(0, t, _CERT_CHUNK):
-        sup = supports[lo:lo + _CERT_CHUNK]
-        v = verdict[lo:lo + _CERT_CHUNK]
-        v[zero[sup].any(axis=1)] = -1
+    for lo in range(0, len(rest), _CERT_CHUNK):
+        live = rest[lo:lo + _CERT_CHUNK]
+        sup = supports[live]
         a_s = cols[sup]  # (c, k, m)
         eig = np.linalg.eigvalsh(a_s @ a_s.transpose(0, 2, 1))
-        live = np.flatnonzero(eig[:, 0] > _CERT_MIN_EIG_RATIO * eig[:, -1])
-        sup, a_s, root = sup[live], a_s[live], np.sqrt(eig[live, 0])
+        solvable = eig[:, 0] > _CERT_MIN_EIG_RATIO * eig[:, -1]
+        live, sup, a_s = live[solvable], sup[solvable], a_s[solvable]
+        root = np.sqrt(eig[solvable, 0])
         x, mat = a_s.transpose(0, 2, 1), None  # iterate 0: M = I
         for step in range(_CERT_ITERS + 1):
             lam = np.linalg.solve(a_s @ x, np.ones((len(live), k, 1)))
@@ -559,8 +563,8 @@ def _dual_screen(a, supports):
                 bound = 2.0 * lam.sum(axis=1) - (w * mw).sum(axis=1) - (r * r).sum(axis=1) / delta
                 wrong = ~sure & (bound > (1.0 + _CERT_MARGIN) ** 2)
                 weights *= corr
-            v[live[sure]] = 1
-            v[live[wrong]] = -1
+            verdict[live[sure]] = 1
+            verdict[live[wrong]] = -1
             keep = ~(sure | wrong)
             if not lawson or not keep.any():
                 break
@@ -570,7 +574,7 @@ def _dual_screen(a, supports):
                     # the reference sets: the p largest |a_l' w| off the support
                     corr = corr[keep]
                     corr[np.arange(len(live))[:, None], sup] = -1.0
-                    pool.append((lo + live, sup, root, np.argpartition(corr, n - p)[:, n - p:]))
+                    pool.append((live, sup, root, np.argpartition(corr, n - p)[:, n - p:]))
                 break
             weights = weights[keep]
             weights /= weights.sum(axis=1, keepdims=True)
@@ -596,12 +600,15 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
     _EXACT_TOL (1e-4) in every entry.  The dual screen (see _dual_screen)
     decides most supports without an LP: a certified one is exact, with
     residual and error reported as 0.0; a refuted one is not, with
-    residual and error NaN because no LP ran.
-    Only the undecided supports go to basis pursuit: a solver failure
-    marks the trial as not recovered (error inf), is counted in
-    solver_failures, and the sweep goes on.  The LP trials share one
-    warm-started model, built by the first of them (see the module
-    docstring).  per_trial holds every TrialOutcome when keep_trials.
+    residual and error NaN because no LP ran.  A support with an
+    all-zero column is refuted before the screen batches anything.
+    The screened outcomes are taken from the verdicts in bulk, and only
+    the undecided supports go to basis pursuit, in support order: a
+    solver failure marks the trial as not recovered (error inf), is
+    counted in solver_failures, and the sweep goes on.  The LP trials
+    share one warm-started model, built by the first of them (see the
+    module docstring).  per_trial is assembled, in one pass, only when
+    keep_trials: then it holds every TrialOutcome, and otherwise None.
 
     Returns
     -------
@@ -625,29 +632,33 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
     a = _unit_columns(phi[idx])
     supports, sampled = _supports(n, k, cfg)
     verdicts = _dual_screen(a, supports)
+    # the screen's verdicts in bulk, and the LP trials fill in their own
+    # below; residuals and errors are Python floats, the one math.nan object
+    # where no LP ran, so equal sweeps give equal per_trial lists
+    recovered = verdicts > 0
+    residual = np.full(len(supports), math.nan, dtype=object)
+    residual[recovered] = 0.0
+    err = residual.copy()
     bp = None  # built by the first trial that reaches an LP
-    trials = [] if keep_trials else None
-    exact = failures = 0
-    for support, verdict in zip(map(tuple, supports.tolist()), verdicts.tolist()):
-        if verdict:
-            recovered = verdict > 0
-            residual = err = 0.0 if recovered else math.nan
-        else:
-            x = np.zeros(n)
-            x[list(support)] = 1.0
-            y = a @ x
-            bp = bp or _BasisPursuit(a)
-            try:
-                xhat, residual = bp.solve(y)
-                err = float(np.max(np.abs(xhat - x)))
-                recovered = err <= _EXACT_TOL
-            except SolverFailureError as exc:
-                residual, err, recovered = exc.residual, math.inf, False
-                failures += 1
-        exact += recovered
-        if keep_trials:
-            trials.append(TrialOutcome(support, bool(recovered), residual, err))
+    failures = 0
+    for i in np.flatnonzero(verdicts == 0).tolist():
+        x = np.zeros(n)
+        x[supports[i]] = 1.0
+        y = a @ x
+        bp = bp or _BasisPursuit(a)
+        try:
+            xhat, residual[i] = bp.solve(y)
+            err[i] = float(np.max(np.abs(xhat - x)))
+            recovered[i] = err[i] <= _EXACT_TOL
+        except SolverFailureError as exc:
+            residual[i], err[i] = exc.residual, math.inf
+            failures += 1
+    trials = None
+    if keep_trials:
+        trials = list(map(TrialOutcome, map(tuple, supports.tolist()), recovered.tolist(),
+                          residual.tolist(), err.tolist()))
     total = len(supports)
+    exact = int(np.count_nonzero(recovered))
     return RecoveryReport(
         total_trials=total,
         exact_count=exact,

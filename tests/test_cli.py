@@ -16,7 +16,7 @@ import pytest
 
 import insense
 from insense import InsenseError, experiment, load_matrix, save_matrix
-from insense.cli import main
+from insense.cli import build_parser, main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(insense.__file__)))
 
@@ -338,6 +338,48 @@ def test_experiment_api_rows_match_cli_csv(capsys, tmp_path):
         return ";".join(map(str, value)) if isinstance(value, list) else str(value)
 
     assert [[cell(row[c]) for c in header] for row in rows] == cli_rows
+
+
+def _fresh_process(argv, outdir):
+    """stdout payload of argv run as `python -m insense.cli` in a new interpreter."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, INSENSE_OUTDIR=str(outdir))
+    done = subprocess.run([sys.executable, "-m", "insense.cli", *argv], env=env, check=True,
+                          capture_output=True, text=True, timeout=300)
+    return json.loads(done.stdout)
+
+
+def test_one_process_runs_select_then_benchmark(capsys, tmp_path, monkeypatch):
+    # the parser is built once per process, here during the first call, and
+    # INSENSE_OUTDIR is still read per call
+    build_parser.cache_clear()
+    config = _benchmark_config(None)
+    del config["output_dir"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    select = ["select", "--ensemble", "identity-gaussian", "--d", "20", "--n", "10",
+              "--m", "4", "--seed", "2"]
+    bench = ["benchmark", "--config", str(cfg_path)]
+    runs = [(select, tmp_path / "first"), (bench, tmp_path / "second")]
+    payloads = []
+    for argv, outdir in runs:
+        monkeypatch.setenv("INSENSE_OUTDIR", str(outdir))
+        code, payload = _run(capsys, argv)
+        assert code == 0
+        payloads.append(payload)
+    assert build_parser.cache_info().misses == 1
+    assert payloads[0]["indices"] == json.loads(
+        (tmp_path / "first" / "selection.json").read_text())["indices"]
+    assert payloads[1]["csv"] == str(tmp_path / "second" / "results.csv")
+    assert not (tmp_path / "first" / "results.csv").exists()
+    assert not (tmp_path / "second" / "selection.json").exists()
+    rows = _read_results(tmp_path / "second" / "results.csv")
+    # a new interpreter per run gives the same payloads and files
+    fresh = [_fresh_process(argv, outdir) for argv, outdir in runs]
+    for payload in (payloads[0], fresh[0]):
+        del payload["time_s"]
+    assert fresh == payloads
+    assert _read_results(tmp_path / "second" / "results.csv") == rows
 
 
 def test_benchmark_reads_matrix_file_relative_to_config(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Basis pursuit and the recovery sweep against enumeration oracles."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -18,6 +19,7 @@ from insense import (
     evaluate_recovery,
     generate,
     run_insense,
+    select_fp_greedy,
     solve_bp,
 )
 from insense.recovery import _supports, _unrank
@@ -476,6 +478,41 @@ def test_degenerate_supports_are_never_certified():
     assert (verdicts[zero] == -1).all() and (verdicts[~zero] == 0).all()
 
 
+def _eigvalsh_batches(monkeypatch):
+    """Record the diagonal of every batch that np.linalg.eigvalsh gets."""
+    batches = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(mats):
+        if mats.ndim == 3:
+            batches.append(np.diagonal(mats, axis1=1, axis2=2).copy())
+        return eigvalsh(mats)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return batches
+
+
+def test_zero_column_supports_reach_no_batch(monkeypatch):
+    phi = np.random.default_rng(12).standard_normal((10, 40))
+    phi[:, [3, 17, 30]] = 0.0
+    batches = _eigvalsh_batches(monkeypatch)
+    report = evaluate_recovery(phi, np.arange(10), 2, keep_trials=True)
+    zero = np.array([bool({3, 17, 30} & set(t.support)) for t in report.per_trial])
+    # the diagonal of A_S'A_S is 0 exactly where A_S has a zero column
+    assert batches and all((diag > 0.0).all() for diag in batches)
+    assert sum(len(diag) for diag in batches) == np.count_nonzero(~zero) == 666
+    assert report.refuted >= zero.sum() == 114
+    assert not any(t.recovered for t, z in zip(report.per_trial, zero) if z)
+    # every support has a zero column: no batch at all, every trial refuted
+    batches.clear()
+    phi[:4] = 0.0
+    report = evaluate_recovery(phi, np.arange(4), 2, keep_trials=True)
+    assert batches == []
+    assert report.refuted == report.total_trials == math.comb(40, 2)
+    assert report.exact_count == report.certified == 0
+    assert all(math.isnan(t.residual) and math.isnan(t.linf_error) for t in report.per_trial)
+
+
 def test_certificate_does_not_depend_on_the_chunk_size(monkeypatch):
     a = _gaussian_10x40()
     supports = np.array(list(itertools.combinations(range(40), 2)))
@@ -681,6 +718,85 @@ def test_solver_failure_marks_trial_and_continues(monkeypatch):
         else:
             assert not trial.recovered and math.isinf(trial.linf_error)
             assert trial.residual == 1.0
+
+
+def _per_trial_loop(phi, subset, k, cfg):
+    """The sweep one trial at a time: the oracle for evaluate_recovery's
+    bulk outcomes.  Screened trials read their verdict, and the undecided
+    ones share one lazily built _BasisPursuit, solved in support order."""
+    a = recovery._unit_columns(phi[subset])
+    n = a.shape[1]
+    supports, sampled = _supports(n, k, cfg)
+    verdicts = recovery._dual_screen(a, supports)
+    bp = None
+    trials = []
+    exact = failures = 0
+    for support, verdict in zip(map(tuple, supports.tolist()), verdicts.tolist()):
+        if verdict:
+            recovered = verdict > 0
+            residual = err = 0.0 if recovered else math.nan
+        else:
+            x = np.zeros(n)
+            x[list(support)] = 1.0
+            y = a @ x
+            bp = bp or recovery._BasisPursuit(a)
+            try:
+                xhat, residual = bp.solve(y)
+                err = float(np.max(np.abs(xhat - x)))
+                recovered = err <= recovery._EXACT_TOL
+            except SolverFailureError as exc:
+                residual, err, recovered = exc.residual, math.inf, False
+                failures += 1
+        exact += recovered
+        trials.append(recovery.TrialOutcome(support, bool(recovered), residual, err))
+    total = len(supports)
+    return recovery.RecoveryReport(
+        total_trials=total, exact_count=exact, accuracy_percent=100.0 * exact / total,
+        sampled=sampled, certified=int(np.count_nonzero(verdicts > 0)),
+        refuted=int(np.count_nonzero(verdicts < 0)), solver_failures=failures,
+        simplex_iterations=bp.simplex_iterations if bp else 0, per_trial=trials)
+
+
+def _fp_greedy_identity_gaussian():
+    phi = generate(EnsembleSpec("identity-gaussian", d=100, n=50, seed=0))
+    return phi, select_fp_greedy(phi, 10), 2, BpConfig()
+
+
+# sweeps with LP trials, with solver failures, and with zero-column supports
+_BULK_SWEEPS = {
+    "gaussian-40x80-k5-sampled": lambda: (
+        generate(EnsembleSpec("gaussian", d=40, n=80, seed=0)), np.arange(40), 5,
+        BpConfig(sample_cap=300)),
+    "row-copied-with-noise-1e-7": lambda: _fuchs_only_sweep("row-copied-with-noise-1e-7"),
+    "identity-gaussian-100x50-fp-greedy": _fp_greedy_identity_gaussian,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BULK_SWEEPS))
+def test_bulk_outcomes_match_the_per_trial_loop(case):
+    phi, subset, k, cfg = _BULK_SWEEPS[case]()
+    report = evaluate_recovery(phi, subset, k, cfg, keep_trials=True)
+    ref = _per_trial_loop(phi, subset, k, cfg)
+    # repr compares NaN fields too, and float fields to the last bit
+    assert repr(dataclasses.replace(report, per_trial=None)) == repr(
+        dataclasses.replace(ref, per_trial=None))
+    assert len(report.per_trial) == len(ref.per_trial)
+    for got, want in zip(report.per_trial, ref.per_trial):
+        assert repr(got) == repr(want)
+        # a trial no LP ran for holds math.nan itself, so equal sweeps compare equal
+        assert (got.residual is math.nan) == (want.residual is math.nan)
+        assert type(got.recovered) is bool
+        assert type(got.support) is tuple and all(type(i) is int for i in got.support)
+        assert all(type(v) is float for v in (got.residual, got.linf_error))
+    if case.startswith("gaussian"):
+        assert report.simplex_iterations > 0
+    elif case.startswith("row-copied"):
+        assert report.solver_failures > 0
+    else:
+        assert report.refuted == 1180
+    lean = evaluate_recovery(phi, subset, k, cfg)
+    assert lean.per_trial is None
+    assert repr(lean) == repr(dataclasses.replace(report, per_trial=None))
 
 
 def test_supports_sample_when_the_count_overflows_int64():
