@@ -15,16 +15,17 @@ certificates (see _dual_screen).  A support whose dual set {w : A_S'w = 1}
 holds a w with |a_l' w| < 1 off the support has 1_S as the unique basis
 pursuit solution: the trial counts as exact without an LP (residual and
 error 0.0, counted in RecoveryReport.certified).  The screen starts from
-the Fuchs point w = A_S (A_S'A_S)^-1 1 (IEEE TIT 2004) and, on at most
-_CERT_MAX_ROWS linearly independent rows, moves on by Lawson
-reweighting; the same weights give a lower bound on the least max
-|a_l' w| over the dual set, and a bound above 1 proves 1_S is no basis
-pursuit solution: the trial counts as not recovered without an LP
-(residual and error NaN, counted in RecoveryReport.refuted).  On more
-rows, or on dependent ones, the screen keeps the Fuchs verdicts.  The
-supports a few Lawson steps leave undecided are pooled from the whole
-sweep and get exchange rounds on a reference set of columns, which
-decide nearly all of them.  The undecided trials share the
+the Fuchs point w = A_S (A_S'A_S)^-1 1 (IEEE TIT 2004) and, on linearly
+independent rows, moves on by Lawson reweighting; the same weights give
+a lower bound on the least max |a_l' w| over the dual set, and a bound
+above 1 proves 1_S is no basis pursuit solution: the trial counts as not
+recovered without an LP (residual and error NaN, counted in
+RecoveryReport.refuted).  On dependent rows the screen keeps the Fuchs
+verdicts.  The supports a few Lawson steps leave undecided are pooled
+from the whole sweep and get exchange rounds on a reference set of
+columns, which decide nearly all of them.  However many rows a sweep
+has, each array of m x m matrices the screen holds has at most
+_CERT_ENTRIES entries.  The undecided trials share the
 constraint matrix and only the measurement changes, so the first of them
 builds one HiGHS model, and the sweep re-solves it with new row bounds
 per trial, in support order: each solve is a dual simplex run without
@@ -49,24 +50,25 @@ import sys
 import numpy as np
 import scipy
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .exceptions import SolverFailureError
 from .metrics import as_integer, as_sensing_matrix, as_whole_number, validate_subset
 from .seeding import seeded_rng
 
-# dual screen of a sweep: supports per batched solve, the least eigenvalue
-# ratio of A_S'A_S that is solved at all (and of A A' for the Lawson steps
-# to run), the gap to 1 that a certificate or a refutation must keep, the
-# Lawson steps after the Fuchs point, and the most rows for which those
-# steps run, the most exchange rounds after them, and the rank-one updates
-# of an exchange inverse per fresh one
+# dual screen of a sweep: the most supports per batched solve, the least
+# eigenvalue ratio of A_S'A_S that is solved at all (and of A A' for the
+# Lawson steps to run), the gap to 1 that a certificate or a refutation must
+# keep, the Lawson steps after the Fuchs point, the most entries of a batch's
+# m x m matrices or of a block of the outer-product table, the most exchange
+# rounds after the Lawson steps, and the rank-one updates of an exchange
+# inverse per fresh one
 _CERT_CHUNK = 512
 _CERT_MIN_EIG_RATIO = 1e-6
 _CERT_MARGIN = 1e-6
 _CERT_ITERS = 6
-_CERT_MAX_ROWS = 32
+_CERT_ENTRIES = 2**18
 _EXCHANGE_ROUNDS = 40
 _EXCHANGE_REFRESH = 16
 # basis pursuit: the largest equality residual of an accepted solution,
@@ -153,16 +155,7 @@ class RecoveryReport:
     per_trial: list[TrialOutcome] | None = None
 
     def to_dict(self):
-        return {
-            "total_trials": self.total_trials,
-            "exact_count": self.exact_count,
-            "accuracy_percent": self.accuracy_percent,
-            "sampled": self.sampled,
-            "certified": self.certified,
-            "refuted": self.refuted,
-            "solver_failures": self.solver_failures,
-            "simplex_iterations": self.simplex_iterations,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_trial"}
 
 
 def _split_csc(a):
@@ -490,19 +483,22 @@ def _dual_screen(a, supports):
     supports whose A_S' A_S has an eigenvalue ratio below
     _CERT_MIN_EIG_RATIO (repeated columns, k > m) stay undecided.
     supports is an int array of shape (t, k); the supports without a
-    zero column are screened in chunks of _CERT_CHUNK.  The Lawson steps
-    run only when m <= _CERT_MAX_ROWS and the rows are linearly
-    independent, lambda_min(A A') > _CERT_MIN_EIG_RATIO lambda_max(A A'):
-    M then comes from one (chunk, n) @ (n, m^2) product with a table of
-    the outer products a_l a_l', so neither that table nor the per-chunk
-    arrays grow past O(_CERT_CHUNK max(n, _CERT_MAX_ROWS^2)) entries, and
-    delta > 0.  With more rows, or with dependent ones (a repeated row, or
-    m > n), the screen keeps the verdicts of iterate 0, and every support
-    it leaves goes to the LP.
+    zero column are screened in batches of min(_CERT_CHUNK,
+    max(1, _CERT_ENTRIES // m^2)) supports.  The Lawson steps run only
+    when the rows are linearly independent, lambda_min(A A') >
+    _CERT_MIN_EIG_RATIO lambda_max(A A'), so that delta > 0.  Each step
+    sums M over blocks of max(1, _CERT_ENTRIES // m^2) columns, a
+    (batch, block) @ (block, m^2) product with that block's table of the
+    outer products a_l a_l', built inside the step; so neither a table
+    block nor a batch's M holds more than max(_CERT_ENTRIES, m^2)
+    entries, and when the whole table fits in one block (at most 32 rows
+    and n <= 256, for one) M comes from a single product.  With dependent
+    rows (a repeated row, or m > n) the screen keeps the verdicts of
+    iterate 0, and every support it leaves goes to the LP.
 
     The supports still undecided after the last Lawson step are pooled
-    from every chunk, and up to _EXCHANGE_ROUNDS exchange rounds run on
-    the pool, _CERT_CHUNK supports per batch; that many rounds only guard
+    from every batch, and up to _EXCHANGE_ROUNDS exchange rounds run on
+    the pool, in batches of the same size; that many rounds only guard
     against cycling, since the rounds decide nearly every support they
     get.  L is a discrete Chebyshev problem, and the rounds are its Stiefel
     exchange (Cheney, Introduction to Approximation Theory, 1966).  Each
@@ -531,16 +527,18 @@ def _dual_screen(a, supports):
     verdict = np.zeros(t, dtype=np.int8)
     verdict[dead] = -1
     rest = np.flatnonzero(~dead)
-    lawson = m <= _CERT_MAX_ROWS and (
-        (eig_aa := np.linalg.eigvalsh(a @ a.T))[0] > _CERT_MIN_EIG_RATIO * eig_aa[-1])
-    if lawson:
-        delta = _CERT_MARGIN * eig_aa[0] / n
-        ridge = delta * np.eye(m)
-        outer = (cols[:, :, None] * cols[:, None, :]).reshape(n, m * m)
+    eig_aa = np.linalg.eigvalsh(a @ a.T)
+    lawson = eig_aa[0] > _CERT_MIN_EIG_RATIO * eig_aa[-1]
+    delta = _CERT_MARGIN * eig_aa[0] / n
+    ridge = delta * np.eye(m)
+    # columns per block of the outer-product table and supports per batch, so
+    # that a block and a batch's M each hold at most _CERT_ENTRIES entries
+    block = max(1, _CERT_ENTRIES // (m * m))
+    batch = min(_CERT_CHUNK, block)
     pool = []  # (positions, supports, sigma_min(A_S), reference sets) the Lawson steps left
     p = m - k + 1
-    for lo in range(0, len(rest), _CERT_CHUNK):
-        live = rest[lo:lo + _CERT_CHUNK]
+    for lo in range(0, len(rest), batch):
+        live = rest[lo:lo + batch]
         sup = supports[live]
         a_s = cols[sup]  # (c, k, m)
         eig = np.linalg.eigvalsh(a_s @ a_s.transpose(0, 2, 1))
@@ -578,14 +576,20 @@ def _dual_screen(a, supports):
                 break
             weights = weights[keep]
             weights /= weights.sum(axis=1, keepdims=True)
-            mat = (weights @ outer).reshape(-1, m, m)
-            mat += ridge
+            # M = delta I + sum over blocks B of weights[:, B] @ (a_l a_l', l in B)
+            mat = ridge
+            for j in range(0, n, block):
+                part = cols[j:j + block]
+                outer = (part[:, :, None] * part[:, None, :]).reshape(len(part), m * m)
+                term = (weights[:, j:j + block] @ outer).reshape(-1, m, m)
+                term += mat
+                mat = term
             x = np.linalg.solve(mat, a_s.transpose(0, 2, 1))
     if pool:
         at, sup, root, ref = (np.concatenate(part) for part in zip(*pool))
         reach = math.sqrt(n / eig_aa[0])
-        for lo in range(0, len(at), _CERT_CHUNK):
-            part = slice(lo, lo + _CERT_CHUNK)
+        for lo in range(0, len(at), batch):
+            part = slice(lo, lo + batch)
             verdict[at[part]] = _exchange(a, sup[part], root[part], ref[part], reach)
     return verdict
 

@@ -149,6 +149,11 @@ def _uniform_gaussian_selection():
     return phi, run_insense(phi, 10).subset
 
 
+def _gaussian_40x80():
+    # all 40 rows, as a recover run without a selection
+    return recovery._unit_columns(np.random.default_rng(120).standard_normal((40, 80)))
+
+
 _SCREENED_SWEEPS = {
     "gaussian-10x40-k2": lambda: (_gaussian_10x40(), np.arange(10), 2, BpConfig()),
     "gaussian-10x40-k3-sampled": lambda: (_gaussian_10x40(), np.arange(10), 3,
@@ -160,6 +165,9 @@ _SCREENED_SWEEPS = {
     "identity-gaussian-100x50-k2": lambda: (*_identity_gaussian_selection(), 2, BpConfig()),
     "uniform-gaussian-200x200-k2-sampled": lambda: (*_uniform_gaussian_selection(), 2,
                                                     BpConfig(seed=3, sample_cap=1000)),
+    # past 32 rows; the screen leaves one of its trials to the LP
+    "gaussian-40x80-k10-sampled": lambda: (_gaussian_40x80(), np.arange(40), 10,
+                                           BpConfig(sample_cap=300)),
 }
 
 # sweeps the screen decides in full, exchange rounds included: (certified, refuted)
@@ -219,10 +227,6 @@ def test_certified_sweep_matches_unscreened_verdicts(case, monkeypatch):
 def _fuchs_only_sweep(case):
     """(phi, rows, k, cfg) of a sweep whose rows the Lawson steps do not take."""
     rng = np.random.default_rng(0)
-    if case == "full-rows-40x80":
-        # all 40 rows, as a recover run without a selection: past _CERT_MAX_ROWS
-        return (np.random.default_rng(21).standard_normal((40, 80)), np.arange(40), 10,
-                BpConfig(seed=2, sample_cap=300))
     if case == "all-zero-rows":
         phi = rng.standard_normal((10, 20))
         phi[:4] = 0.0
@@ -246,7 +250,7 @@ def _fuchs_only_sweep(case):
 
 
 @pytest.mark.parametrize("case", [
-    "full-rows-40x80", "all-zero-rows", "duplicated-row", "more-rows-than-columns",
+    "all-zero-rows", "duplicated-row", "more-rows-than-columns",
     "combined-rows", "row-copied-with-noise-1e-5", "row-copied-with-noise-1e-6",
     "row-copied-with-noise-1e-7"])
 def test_fallback_screen_keeps_the_fuchs_verdicts(case, monkeypatch):
@@ -427,30 +431,65 @@ def test_screen_memory_does_not_grow_with_the_rows_squared():
     assert peak < 32e6
 
 
-_ORACLE_SWEEPS = [(2, BpConfig()), (3, BpConfig(seed=5, sample_cap=300))]
+def test_screen_memory_past_32_rows_follows_the_entry_budget(monkeypatch):
+    # all 64 rows: the Fuchs point leaves 406 of these supports undecided, and
+    # the Lawson steps and exchange rounds that decide them hold their m x m
+    # matrices in a few arrays of at most _CERT_ENTRIES entries each; at 2^16
+    # entries the n x m^2 outer-product table alone would take 8 of them
+    a = recovery._unit_columns(np.random.default_rng(2).standard_normal((64, 128)))
+    supports = _supports(128, 10, BpConfig(sample_cap=500))[0]
+    monkeypatch.setattr(recovery, "_CERT_ENTRIES", 2**16)
+    tracemalloc.start()
+    try:
+        verdicts = recovery._dual_screen(a, supports)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * recovery._CERT_ENTRIES
+    monkeypatch.setattr(recovery, "_CERT_ITERS", 0)
+    monkeypatch.setattr(recovery, "_EXCHANGE_ROUNDS", 0)
+    fuchs = recovery._dual_screen(a, supports)
+    assert (fuchs == 0).sum() == 406 and (verdicts == 0).sum() <= 1
+    decided = fuchs != 0
+    np.testing.assert_array_equal(verdicts[decided], fuchs[decided])
 
 
-@pytest.mark.parametrize("k, cfg", _ORACLE_SWEEPS)
-def test_certified_trials_have_a_unique_bp_optimum(k, cfg):
-    a = _gaussian_10x40()
-    supports = _supports(40, k, cfg)[0]
-    certified = recovery._dual_screen(a, supports) > 0
-    assert certified.any()
-    for support in supports[certified]:
-        x = np.zeros(40)
+# (matrix, k, cfg, most supports of one verdict checked: past that many, a
+# seeded sample of them)
+_ORACLE_SWEEPS = [
+    pytest.param(_gaussian_10x40, 2, BpConfig(), None, id="2-cfg0"),
+    pytest.param(_gaussian_10x40, 3, BpConfig(seed=5, sample_cap=300), None, id="3-cfg1"),
+    # past 32 rows: 296 certified, 3 refuted
+    pytest.param(_gaussian_40x80, 10, BpConfig(sample_cap=300), 100, id="all-rows-40x80-k10"),
+]
+
+
+def _screened(make, k, cfg, most, verdict):
+    """(a, the supports the screen gives this verdict, or a sample of most of them)."""
+    a = make()
+    supports = _supports(a.shape[1], k, cfg)[0]
+    picked = supports[recovery._dual_screen(a, supports) == verdict]
+    assert len(picked) > 0
+    if most is not None and len(picked) > most:
+        picked = picked[np.random.default_rng(26).choice(len(picked), most, replace=False)]
+    return a, picked
+
+
+@pytest.mark.parametrize("make, k, cfg, most", _ORACLE_SWEEPS)
+def test_certified_trials_have_a_unique_bp_optimum(make, k, cfg, most):
+    a, certified = _screened(make, k, cfg, most, 1)
+    for support in certified:
+        x = np.zeros(a.shape[1])
         x[support] = 1.0
         assert _unique_bp_optimum(a, x), support
 
 
-@pytest.mark.parametrize("k, cfg", _ORACLE_SWEEPS)
-def test_refuted_trials_have_a_smaller_l1_optimum(k, cfg):
+@pytest.mark.parametrize("make, k, cfg, most", _ORACLE_SWEEPS)
+def test_refuted_trials_have_a_smaller_l1_optimum(make, k, cfg, most):
     # a refutation claims 1_S is not a minimizer: cold linprog must beat ||1_S||_1 = k
-    a = _gaussian_10x40()
-    supports = _supports(40, k, cfg)[0]
-    refuted = recovery._dual_screen(a, supports) < 0
-    assert refuted.any()
-    for support in supports[refuted]:
-        x = np.zeros(40)
+    a, refuted = _screened(make, k, cfg, most, -1)
+    for support in refuted:
+        x = np.zeros(a.shape[1])
         x[support] = 1.0
         assert np.abs(_linprog_bp(a, a @ x)).sum() < k - 1e-7, support
 
@@ -514,6 +553,16 @@ def test_zero_column_supports_reach_no_batch(monkeypatch):
 
 
 def test_certificate_does_not_depend_on_the_chunk_size(monkeypatch):
+    # past 32 rows: the default budget holds M's whole outer-product table and
+    # batches of 163 supports; room for 7 matrices of 40 x 40 splits the table
+    # into 12 blocks of 7 columns and the supports into batches of 7
+    a, supports = _screen_input("gaussian-40x80-k10-sampled")
+    assert recovery._CERT_ENTRIES // 40**2 >= 80
+    whole = recovery._dual_screen(a, supports)
+    with monkeypatch.context() as patch:
+        patch.setattr(recovery, "_CERT_ENTRIES", 7 * 40**2)
+        np.testing.assert_array_equal(recovery._dual_screen(a, supports), whole)
+    assert set(whole.tolist()) == {-1, 0, 1}
     a = _gaussian_10x40()
     supports = np.array(list(itertools.combinations(range(40), 2)))
     # the exchange rounds decide every support; without them some stay undecided
@@ -764,9 +813,9 @@ def _fp_greedy_identity_gaussian():
 
 # sweeps with LP trials, with solver failures, and with zero-column supports
 _BULK_SWEEPS = {
-    "gaussian-40x80-k5-sampled": lambda: (
-        generate(EnsembleSpec("gaussian", d=40, n=80, seed=0)), np.arange(40), 5,
-        BpConfig(sample_cap=300)),
+    # more rows than columns: dependent rows leave 20 of the 220 trials to the LP
+    "gaussian-20x12-k3": lambda: (
+        generate(EnsembleSpec("gaussian", d=20, n=12, seed=0)), np.arange(20), 3, BpConfig()),
     "row-copied-with-noise-1e-7": lambda: _fuchs_only_sweep("row-copied-with-noise-1e-7"),
     "identity-gaussian-100x50-fp-greedy": _fp_greedy_identity_gaussian,
 }
