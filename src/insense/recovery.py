@@ -15,15 +15,16 @@ certificates (see _dual_screen).  A support whose dual set {w : A_S'w = 1}
 holds a w with |a_l' w| < 1 off the support has 1_S as the unique basis
 pursuit solution: the trial counts as exact without an LP (residual and
 error 0.0, counted in RecoveryReport.certified).  The screen starts from
-the Fuchs point w = A_S (A_S'A_S)^-1 1 (IEEE TIT 2004) and, on linearly
-independent rows, moves on by Lawson reweighting; the same weights give
+the Fuchs point w = A_S (A_S'A_S)^-1 1 (IEEE TIT 2004) and moves on by
+Lawson reweighting; on linearly independent rows the same weights give
 a lower bound on the least max |a_l' w| over the dual set, and a bound
 above 1 proves 1_S is no basis pursuit solution: the trial counts as not
 recovered without an LP (residual and error NaN, counted in
-RecoveryReport.refuted).  On dependent rows the screen keeps the Fuchs
-verdicts.  The supports a few Lawson steps leave undecided are pooled
-from the whole sweep and get exchange rounds on a reference set of
-columns, which decide nearly all of them.  However many rows a sweep
+RecoveryReport.refuted).  The supports a few Lawson steps leave
+undecided are pooled from the whole sweep and get exchange rounds on a
+reference set of columns, which decide nearly all of them.  Every
+matrix takes this one path; dependent rows (a repeated row, more rows
+than columns) only lose the refutations.  However many rows a sweep
 has, each array of m x m matrices the screen holds has at most
 _CERT_ENTRIES entries.  The undecided trials share the
 constraint matrix and only the measurement changes, so the first of them
@@ -58,12 +59,12 @@ from .metrics import as_integer, as_sensing_matrix, as_whole_number, validate_su
 from .seeding import seeded_rng
 
 # dual screen of a sweep: the most supports per batched solve, the least
-# eigenvalue ratio of A_S'A_S that is solved at all (and of A A' for the
-# Lawson steps to run), the gap to 1 that a certificate or a refutation must
-# keep, the Lawson steps after the Fuchs point, the most entries of a batch's
-# m x m matrices or of a block of the outer-product table, the most exchange
-# rounds after the Lawson steps, and the rank-one updates of an exchange
-# inverse per fresh one
+# eigenvalue ratio of A_S'A_S that is solved at all (and of A A' for any
+# refutation, and the floor of the Lawson ridge), the gap to 1 that a
+# certificate or a refutation must keep, the Lawson steps after the Fuchs
+# point, the most entries of a batch's m x m matrices or of a block of the
+# outer-product table, the most exchange rounds after the Lawson steps, and
+# the rank-one updates of an exchange inverse per fresh one
 _CERT_CHUNK = 512
 _CERT_MIN_EIG_RATIO = 1e-6
 _CERT_MARGIN = 1e-6
@@ -354,16 +355,20 @@ def _bordered(cols, sup, ref, border):
     return mat
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _exchange(a, sup, root, ref, reach):
     """Verdicts of up to _EXCHANGE_ROUNDS exchange rounds (see _dual_screen).
 
     sup (c, k) holds supports the Lawson steps left undecided, root their
     sigma_min(A_S), and ref (c, p) a reference set of p = m - k + 1
-    off-support columns for each.  reach is sqrt(n / lambda_min(A A')).
+    off-support columns for each.  reach is sqrt(n / lambda_min(A A')), or
+    inf on linearly dependent rows, where the rounds refute nothing.
     Each support holds the inverse of its bordered matrix K = [[A_S, -A_J],
     [0, sigma']], changed by a Sherman-Morrison rank-one update whenever K
     changes; every _EXCHANGE_REFRESH-th update is a fresh batched inverse
-    instead.
+    instead.  An inverse of a (nearly) singular K may hold inf or NaN,
+    which ends that support's rounds without a verdict; numpy's warnings
+    about them are silenced.
     """
     k = sup.shape[1]
     m = a.shape[0]
@@ -381,10 +386,9 @@ def _exchange(a, sup, root, ref, reach):
     border = np.where(inv[:, k:, m] < 0.0, -1.0, 1.0)
     if _EXCHANGE_REFRESH > 1:
         dual = inv[:, :, m].copy()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            row = ((border - 1.0)[:, :, None] * inv[:, k:]).sum(axis=1)
-            row /= np.abs(dual[:, k:]).sum(axis=1)[:, None]
-            inv -= dual[:, :, None] * row[:, None, :]
+        row = ((border - 1.0)[:, :, None] * inv[:, k:]).sum(axis=1)
+        row /= np.abs(dual[:, k:]).sum(axis=1)[:, None]
+        inv -= dual[:, :, None] * row[:, None, :]
     else:
         inv = _inverse(_bordered(cols, sup, ref, border))
     for step in range(_EXCHANGE_ROUNDS):
@@ -405,7 +409,7 @@ def _exchange(a, sup, root, ref, reach):
         # ||mu||_1 max_J |a_j' w| + |r| |w|, and a minimizer with L <= 1 has
         # |A' w|^2 <= n, so |w| <= reach; r is needed only where 1'lam is large
         bar = (1.0 + _CERT_MARGIN) * np.abs(mu).sum(axis=1)
-        wrong = ~sure & (value > bar)
+        wrong = ~sure & (value > bar) & math.isfinite(reach)
         if wrong.any():
             at = np.flatnonzero(wrong)
             r = np.linalg.norm(np.einsum("ckm,ck->cm", cols[sup[at]], lam[at])
@@ -432,8 +436,7 @@ def _exchange(a, sup, root, ref, reach):
         z = (inv[:, :, :m] @ head[:, :, None])[:, :, 0] * sign[:, None]
         dual = inv[:, :, m]
         at = np.arange(len(live))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            drop = (z[:, k:] * border / np.abs(dual[:, k:])).argmin(axis=1)
+        drop = (z[:, k:] * border / np.abs(dual[:, k:])).argmin(axis=1)
         ref[at, drop] = new
         border[at, drop] = sign
         # this exchange is update step + 2 of K^-1, the border change the first
@@ -442,9 +445,8 @@ def _exchange(a, sup, root, ref, reach):
             # d = sigma* ((lam, mu) - z)
             d = sign[:, None] * (dual - z)
             q = k + drop
-            with np.errstate(divide="ignore", invalid="ignore"):
-                row = inv[at, q] / d[at, q][:, None]
-                inv -= d[:, :, None] * row[:, None, :]
+            row = inv[at, q] / d[at, q][:, None]
+            inv -= d[:, :, None] * row[:, None, :]
             inv[at, q] = row
         else:
             inv = _inverse(_bordered(cols, sup, ref, border))
@@ -468,15 +470,21 @@ def _dual_screen(a, supports):
     to 1, M = A diag(omega) A' + delta I and w = M^-1 A_S lam, lam =
     (A_S' M^-1 A_S)^-1 1, minimizes sum omega_l (a_l' w)^2 + delta |w|^2
     over the dual set; the weights then become omega_l |a_l' w|,
-    renormalized.  A computed w certifies when max |a_l' w| off the
-    support, plus the distance ||A_S' w - 1|| / sigma_min(A_S) to a point
-    of the dual set, stays below 1 - _CERT_MARGIN.  It refutes when the
+    renormalized.  delta is _CERT_MARGIN max(lambda_min(A A'),
+    _CERT_MIN_EIG_RATIO lambda_max(A A')) / n, so M is regular on any
+    rows.  A computed w certifies when max |a_l' w| off the support, plus
+    the distance ||A_S' w - 1|| / sigma_min(A_S) to a point of the dual
+    set, stays below 1 - _CERT_MARGIN; that test holds for any w, on any
+    rows.  It refutes when the rows are linearly independent,
+    lambda_min(A A') > _CERT_MIN_EIG_RATIO lambda_max(A A'), and the
     weak-duality bound D = 2 1'lam - sum omega_l (a_l' w)^2 - |r|^2 /
     delta, r = A diag(omega) A' w - A_S lam, exceeds (1 + _CERT_MARGIN)^2:
     D lower-bounds the weighted minimum, which lower-bounds L^2 up to
-    delta |w_L|^2 <= delta n / lambda_min(A A') when L <= 1, and delta is
-    _CERT_MARGIN lambda_min(A A') / n, so D > (1 + _CERT_MARGIN)^2 forces
-    L > 1.  An inexact solve can only make a verdict less likely.
+    delta |w_L|^2 <= delta n / lambda_min(A A') when L <= 1, and on such
+    rows delta is _CERT_MARGIN lambda_min(A A') / n, so D > (1 +
+    _CERT_MARGIN)^2 forces L > 1.  On dependent or nearly dependent rows
+    |w_L| has no such bound, and neither D nor the exchange bound below
+    refutes.  An inexact solve can only make a verdict less likely.
 
     A support with an all-zero column is refuted before any batch, and
     no batch holds it: basis pursuit leaves that entry at 0.  Other
@@ -484,17 +492,13 @@ def _dual_screen(a, supports):
     _CERT_MIN_EIG_RATIO (repeated columns, k > m) stay undecided.
     supports is an int array of shape (t, k); the supports without a
     zero column are screened in batches of min(_CERT_CHUNK,
-    max(1, _CERT_ENTRIES // m^2)) supports.  The Lawson steps run only
-    when the rows are linearly independent, lambda_min(A A') >
-    _CERT_MIN_EIG_RATIO lambda_max(A A'), so that delta > 0.  Each step
-    sums M over blocks of max(1, _CERT_ENTRIES // m^2) columns, a
+    max(1, _CERT_ENTRIES // m^2)) supports.  Each Lawson step sums M
+    over blocks of max(1, _CERT_ENTRIES // m^2) columns, a
     (batch, block) @ (block, m^2) product with that block's table of the
     outer products a_l a_l', built inside the step; so neither a table
     block nor a batch's M holds more than max(_CERT_ENTRIES, m^2)
     entries, and when the whole table fits in one block (at most 32 rows
-    and n <= 256, for one) M comes from a single product.  With dependent
-    rows (a repeated row, or m > n) the screen keeps the verdicts of
-    iterate 0, and every support it leaves goes to the LP.
+    and n <= 256, for one) M comes from a single product.
 
     The supports still undecided after the last Lawson step are pooled
     from every batch, and up to _EXCHANGE_ROUNDS exchange rounds run on
@@ -509,16 +513,17 @@ def _dual_screen(a, supports):
     null vector of the m x (m + 1) matrix [A_S, -A_J] with sigma' mu = 1,
     oriented to 1'lam >= 0, and r = A_S lam - A_J mu.  Every w of the dual
     set has 1'lam <= ||mu||_1 max_J |a_j' w| + |r| |w|, and a minimizer
-    with L <= 1 has |w| <= sqrt(n / lambda_min(A A')), so the round refutes
-    when 1'lam - |r| sqrt(n / lambda_min(A A')) > (1 + _CERT_MARGIN)
-    ||mu||_1.  The w with A_S' w = 1 and sigma_j a_j' w = 1'lam on J, the
-    minimax over J, also read from the inverse, goes through the
-    certificate test above.  The most violated column then enters J and
-    the column the dual simplex ratio test names leaves it, a rank-one
-    change of K; a support stops when its most violated column is already
-    in J, which makes w the minimizer over every column, or when its K is
-    singular.  Both verdicts are inequalities that hold for whatever (lam,
-    mu) or w was computed.  The rounds are skipped when p > n - k.
+    with L <= 1 has |w| <= sqrt(n / lambda_min(A A')), so on independent
+    rows the round refutes when 1'lam - |r| sqrt(n / lambda_min(A A')) >
+    (1 + _CERT_MARGIN) ||mu||_1.  The w with A_S' w = 1 and sigma_j a_j'
+    w = 1'lam on J, the minimax over J, also read from the inverse, goes
+    through the certificate test above.  The most violated column then
+    enters J and the column the dual simplex ratio test names leaves it, a
+    rank-one change of K; a support stops when its most violated column is
+    already in J, which makes w the minimizer over every column, or when
+    its K is singular (as it is on dependent rows).  Both verdicts are
+    inequalities that hold for whatever (lam, mu) or w was computed.  The
+    rounds are skipped when p > n - k.
     """
     t, k = supports.shape
     m, n = a.shape
@@ -528,8 +533,9 @@ def _dual_screen(a, supports):
     verdict[dead] = -1
     rest = np.flatnonzero(~dead)
     eig_aa = np.linalg.eigvalsh(a @ a.T)
-    lawson = eig_aa[0] > _CERT_MIN_EIG_RATIO * eig_aa[-1]
-    delta = _CERT_MARGIN * eig_aa[0] / n
+    # only the refutations need independent rows; the ridge has a floor
+    independent = eig_aa[0] > _CERT_MIN_EIG_RATIO * eig_aa[-1]
+    delta = _CERT_MARGIN * max(eig_aa[0], _CERT_MIN_EIG_RATIO * eig_aa[-1]) / n
     ridge = delta * np.eye(m)
     # columns per block of the outer-product table and supports per batch, so
     # that a block and a batch's M each hold at most _CERT_ENTRIES entries
@@ -559,12 +565,12 @@ def _dual_screen(a, supports):
                 mw = (mat @ w[:, :, None])[:, :, 0] - delta * w
                 r = mw - (a_s * lam[:, :, None]).sum(axis=1)
                 bound = 2.0 * lam.sum(axis=1) - (w * mw).sum(axis=1) - (r * r).sum(axis=1) / delta
-                wrong = ~sure & (bound > (1.0 + _CERT_MARGIN) ** 2)
+                wrong = ~sure & independent & (bound > (1.0 + _CERT_MARGIN) ** 2)
                 weights *= corr
             verdict[live[sure]] = 1
             verdict[live[wrong]] = -1
             keep = ~(sure | wrong)
-            if not lawson or not keep.any():
+            if not keep.any():
                 break
             live, sup, a_s, root = live[keep], sup[keep], a_s[keep], root[keep]
             if step == _CERT_ITERS:
@@ -587,7 +593,7 @@ def _dual_screen(a, supports):
             x = np.linalg.solve(mat, a_s.transpose(0, 2, 1))
     if pool:
         at, sup, root, ref = (np.concatenate(part) for part in zip(*pool))
-        reach = math.sqrt(n / eig_aa[0])
+        reach = math.sqrt(n / eig_aa[0]) if independent else math.inf
         for lo in range(0, len(at), batch):
             part = slice(lo, lo + batch)
             verdict[at[part]] = _exchange(a, sup[part], root[part], ref[part], reach)

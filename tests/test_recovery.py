@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -224,8 +225,8 @@ def test_certified_sweep_matches_unscreened_verdicts(case, monkeypatch):
         assert got.recovered == ref.recovered, got.support
 
 
-def _fuchs_only_sweep(case):
-    """(phi, rows, k, cfg) of a sweep whose rows the Lawson steps do not take."""
+def _dependent_row_sweep(case):
+    """(phi, rows, k, cfg) of a sweep on linearly dependent or nearly dependent rows."""
     rng = np.random.default_rng(0)
     if case == "all-zero-rows":
         phi = rng.standard_normal((10, 20))
@@ -242,7 +243,8 @@ def _fuchs_only_sweep(case):
         phi = rng.standard_normal((12, 40))
         phi[10], phi[11] = phi[0] - 2.0 * phi[3], 0.5 * phi[1] + phi[2]
         return phi, np.arange(12), 2, BpConfig()
-    # a row this far from a copy: dependent to the screen, not to the LP
+    # a row this far from a copy: dependent to the screen's refutations, not
+    # to its certificates or to the LP
     noise = float(case.removeprefix("row-copied-with-noise-"))
     phi = rng.standard_normal((10, 30))
     phi[9] = phi[0] + noise * rng.standard_normal(30)
@@ -251,19 +253,28 @@ def _fuchs_only_sweep(case):
 
 @pytest.mark.parametrize("case", [
     "all-zero-rows", "duplicated-row", "more-rows-than-columns",
-    "combined-rows", "row-copied-with-noise-1e-5", "row-copied-with-noise-1e-6",
-    "row-copied-with-noise-1e-7"])
+    "combined-rows", "row-copied-with-noise-1e-3", "row-copied-with-noise-1e-5",
+    "row-copied-with-noise-1e-6", "row-copied-with-noise-1e-7"])
 def test_fallback_screen_keeps_the_fuchs_verdicts(case, monkeypatch):
-    phi, rows, k, cfg = _fuchs_only_sweep(case)
+    # dependent rows take the screen's one path: it keeps every verdict of
+    # the Fuchs point, adds certificates, and refutes nothing it cannot
+    # prove without independent rows
+    phi, rows, k, cfg = _dependent_row_sweep(case)
     a = recovery._unit_columns(phi[rows])
     supports = _supports(phi.shape[1], k, cfg)[0]
+    eig = np.linalg.eigvalsh(a @ a.T)
+    assert eig[0] <= recovery._CERT_MIN_EIG_RATIO * eig[-1]
     verdicts = recovery._dual_screen(a, supports)
     with monkeypatch.context() as patch:
         # the Fuchs point alone
         patch.setattr(recovery, "_CERT_ITERS", 0)
         patch.setattr(recovery, "_EXCHANGE_ROUNDS", 0)
-        np.testing.assert_array_equal(recovery._dual_screen(a, supports), verdicts)
-    # iterate 0 refutes only a support with an all-zero column
+        fuchs = recovery._dual_screen(a, supports)
+    decided = fuchs != 0
+    np.testing.assert_array_equal(verdicts[decided], fuchs[decided])
+    # and decides some of the supports the Fuchs point leaves
+    assert (verdicts == 0).sum() < (fuchs == 0).sum() or fuchs.all()
+    # only a support with an all-zero column is refuted
     np.testing.assert_array_equal(verdicts < 0, (~a.any(axis=0))[supports].any(axis=1))
     with monkeypatch.context() as patch:
         if case == "all-zero-rows":
@@ -275,7 +286,7 @@ def test_fallback_screen_keeps_the_fuchs_verdicts(case, monkeypatch):
     assert screened.certified == np.count_nonzero(verdicts > 0)
     assert screened.refuted == np.count_nonzero(verdicts < 0)
     # at 1e-7 whether a warm-started LP fails depends on the trials before it
-    # (7 failures without the screen, 25 with it), so there only the trials
+    # (7 failures without the screen, 5 with it), so there only the trials
     # both sweeps solved are compared
     if case != "row-copied-with-noise-1e-7":
         assert screened.solver_failures == plain.solver_failures == 0
@@ -291,6 +302,11 @@ def test_fully_decided_sweep_builds_no_lp_model(monkeypatch):
     report = evaluate_recovery(phi, rows, k, cfg)
     assert report.certified + report.refuted == report.total_trials == 300
     assert report.exact_count == 177 and report.simplex_iterations == 0
+    # more rows than columns: the Lawson steps certify every support
+    phi = generate(EnsembleSpec("gaussian", d=20, n=12, seed=0))
+    report = evaluate_recovery(phi, np.arange(20), 3)
+    assert report.certified == report.exact_count == report.total_trials == 220
+    assert report.simplex_iterations == 0
 
 
 def test_exchange_rounds_only_add_verdicts(monkeypatch):
@@ -358,7 +374,7 @@ def test_exchange_verdicts_hold_for_an_inexact_dual(monkeypatch):
 @pytest.mark.parametrize("case", ["square"])
 def test_exchange_is_skipped_without_enough_off_support_columns(case, monkeypatch):
     # a reference set takes p = m - k + 1 off-support columns; with m = n
-    # there are only n - k < p (dependent rows never reach the exchange)
+    # there are only n - k < p (and so with any m > n)
     phi, k = np.random.default_rng(23).standard_normal((8, 8)), 2
     supports = np.array(list(itertools.combinations(range(phi.shape[1]), k)))
 
@@ -393,6 +409,18 @@ def test_degenerate_reference_sets_leave_only_their_support_undecided(monkeypatc
     # copies, with 1'lam = 0, and no w certifies a support that is not recovered
     monkeypatch.setattr(recovery, "_EXCHANGE_ROUNDS", 1)
     assert recovery._exchange(a, sup[:2], root[:2], ref[:2], reach).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("signed, counts", [(True, (217, 0, 270)), (False, (252, 2, 280))])
+def test_singular_exchange_inverses_raise_no_warnings(signed, counts):
+    # discrete entries make some bordered matrices singular; the non-finite
+    # inverses they leave end their rounds quietly, with the same verdicts
+    phi = generate(EnsembleSpec("bernoulli01", d=10, n=40, seed=0, signed=signed))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = evaluate_recovery(phi, np.arange(10), 2, BpConfig(sample_cap=300))
+    assert (report.certified, report.refuted, report.exact_count) == counts
+    assert report.solver_failures == 0
 
 
 @pytest.mark.parametrize("noise", [0.0, 1e-13])
@@ -813,10 +841,11 @@ def _fp_greedy_identity_gaussian():
 
 # sweeps with LP trials, with solver failures, and with zero-column supports
 _BULK_SWEEPS = {
-    # more rows than columns: dependent rows leave 20 of the 220 trials to the LP
-    "gaussian-20x12-k3": lambda: (
-        generate(EnsembleSpec("gaussian", d=20, n=12, seed=0)), np.arange(20), 3, BpConfig()),
-    "row-copied-with-noise-1e-7": lambda: _fuchs_only_sweep("row-copied-with-noise-1e-7"),
+    # +-1 entries: degenerate exchange rounds leave 59 of the 300 trials to the LP
+    "signed-bernoulli-10x40-k2": lambda: (
+        generate(EnsembleSpec("bernoulli01", d=10, n=40, seed=1, signed=True)), np.arange(10),
+        2, BpConfig(seed=1, sample_cap=300)),
+    "row-copied-with-noise-1e-7": lambda: _dependent_row_sweep("row-copied-with-noise-1e-7"),
     "identity-gaussian-100x50-fp-greedy": _fp_greedy_identity_gaussian,
 }
 
@@ -837,7 +866,7 @@ def test_bulk_outcomes_match_the_per_trial_loop(case):
         assert type(got.recovered) is bool
         assert type(got.support) is tuple and all(type(i) is int for i in got.support)
         assert all(type(v) is float for v in (got.residual, got.linf_error))
-    if case.startswith("gaussian"):
+    if case.startswith("signed"):
         assert report.simplex_iterations > 0
     elif case.startswith("row-copied"):
         assert report.solver_failures > 0
