@@ -26,6 +26,17 @@ a poor subset even at a low objective value.  Scoring the actual rounded
 candidates by their average column coherence closes that relaxation gap.
 The best rounding usually appears within the first few steps, so the
 descent stops once it has not improved for _PATIENCE accepted steps.
+A run scores each distinct rounding once, across all of its restarts.
+
+Each run_insense call allocates one _StepWork, a single block of n x n
+and d x n arrays that every restart steps in, so a step allocates no
+n x n or d x n array.  gram_matrix, _objective_from_gram and
+weight_gradient write into it when handed one (keyword `work`) and
+allocate as before without it.  An objective evaluation leaves its
+den = diag diag' + eps2 and ratio = (G^2 + eps1) / den in the work,
+tagged with its Gram.  The line search ends on the accepted candidate,
+so the gradient of the next step is always taken at the Gram evaluated
+last and starts from those arrays instead of forming them again.
 """
 
 import numpy as np
@@ -136,30 +147,93 @@ class SelectionResult:
         return self.stop_reason in ("rel_tol", "no_descent")
 
 
-def gram_matrix(phi, z):
+class _StepWork:
+    """Work arrays of one run_insense call, shared by its restarts.
+
+    One float64 block holds six n x n arrays and two d x n ones.  grams
+    are three Gram slots: grams[0] holds the accepted iterate's Gram,
+    gram_matrix writes into grams[1] and a backtrack into grams[2], and
+    accept() swaps the slot of an accepted Gram into grams[0], so a write
+    never lands on a Gram still in use.  product holds a Gram product
+    before symmetrization and a backtrack's second term; den and ratio
+    hold those of the last objective evaluation, which was on the Gram
+    `source` (None once the gradient consumed them).  support and
+    weighted hold a Gram's support rows and their weighted copy; the
+    gradient's d x n product reuses support.  scores maps the bytes of a
+    rounded subset to its mu_avg.
+    """
+
+    def __init__(self, d, n):
+        square, rows = n * n, d * n
+        block = np.empty(6 * square + 2 * rows)
+        arrays = [block[i * square:(i + 1) * square].reshape(n, n) for i in range(6)]
+        self.grams = arrays[:3]
+        self.product, self.den, self.ratio = arrays[3:]
+        self.support = block[6 * square:6 * square + rows].reshape(d, n)
+        self.weighted = block[6 * square + rows:].reshape(d, n)
+        self.source = None
+        self.scores = {}
+
+    def gram_slot(self):
+        """grams[1], the slot a new Gram is written into."""
+        self.source = None
+        return self.grams[1]
+
+    def segment(self, gram, gram_end, t):
+        """The backtrack Gram (1 - t) gram + t gram_end, formed in grams[2]."""
+        self.source = None
+        cand = np.multiply(gram, 1.0 - t, out=self.grams[2])
+        cand += np.multiply(gram_end, t, out=self.product)
+        return cand
+
+    def accept(self, gram):
+        """Keep an accepted Gram: its slot becomes grams[0]."""
+        for i in (1, 2):
+            if self.grams[i] is gram:
+                self.grams[0], self.grams[i] = gram, self.grams[0]
+
+
+def gram_matrix(phi, z, *, work=None):
     """Weighted column Gram matrix phi.T @ diag(z) @ phi, symmetrized.
 
     Only the rows with a nonzero weight enter the product, so one call
     costs O(nnz(z) n^2) rather than O(d n^2); the projected weights of a
     descent are mostly exact zeros.  Any finite z gives the value of the
-    dense formula, up to summation order.
+    dense formula, up to summation order.  With `work` (a run's
+    _StepWork) the result is written into its Gram slot grams[1].
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (phi.shape[0],):
         raise ValueError(f"weights need shape ({phi.shape[0]},), got {z.shape}")
     rows = np.flatnonzero(z)
-    support = phi[rows]
-    g = support.T @ (z[rows, None] * support)
-    return 0.5 * (g + g.T)
+    support_out = weighted_out = product_out = gram_out = None
+    if work is not None:
+        support_out, weighted_out = work.support[: rows.size], work.weighted[: rows.size]
+        product_out, gram_out = work.product, work.gram_slot()
+    # rows are valid indices; mode="raise" would buffer `out` in a new array
+    support = np.take(phi, rows, axis=0, out=support_out, mode="clip")
+    weighted = np.multiply(z[rows, None], support, out=weighted_out)
+    g = np.matmul(support.T, weighted, out=product_out)
+    gram = np.add(g, g.T, out=gram_out)
+    gram *= 0.5
+    return gram
 
 
-def _objective_from_gram(gram, eps1, eps2):
+def _den_ratio(gram, eps1, eps2, work):
+    """den = diag diag' + eps2 and ratio = (G^2 + eps1) / den, in work's arrays if given."""
     diag = np.diag(gram)
-    den = np.outer(diag, diag)
+    den = np.outer(diag, diag, out=None if work is None else work.den)
     den += eps2
-    ratio = np.square(gram)
+    ratio = np.square(gram, out=None if work is None else work.ratio)
     ratio += eps1
     ratio /= den
+    return den, ratio
+
+
+def _objective_from_gram(gram, eps1, eps2, *, work=None):
+    den, ratio = _den_ratio(gram, eps1, eps2, work)
+    if work is not None:
+        work.source = gram
     # off-diagonal sum halves to the i < j pair sum
     return float((ratio.sum() - np.trace(ratio)) / 2.0)
 
@@ -174,6 +248,22 @@ def coherence_objective(phi, z, cfg=None):
     return _objective_from_gram(gram_matrix(phi, z), cfg.eps1, cfg.eps2)
 
 
+def _gram_gradient(gram, eps1, eps2, work):
+    # den and ratio of the last objective evaluation are reused only for
+    # the very Gram array it was made on
+    if work is not None and work.source is gram:
+        den, ratio = work.den, work.ratio
+    else:
+        den, ratio = _den_ratio(gram, eps1, eps2, work)
+    if work is not None:
+        work.source = None  # den and ratio are overwritten below
+    q = np.divide(ratio, den, out=ratio)
+    np.fill_diagonal(q, 0.0)
+    grad = np.divide(gram, den, out=den)
+    np.fill_diagonal(grad, -(q @ np.diag(gram)))
+    return grad
+
+
 def gram_gradient(gram, cfg=None):
     """Gradient of the objective with respect to the Gram matrix, symmetrized.
 
@@ -185,28 +275,21 @@ def gram_gradient(gram, cfg=None):
     x' H x of the result is the chain-rule derivative along x x'.
     """
     cfg = cfg or InsenseConfig()
-    gram = np.asarray(gram, dtype=float)
-    diag = np.diag(gram)
-    den = np.outer(diag, diag)
-    den += cfg.eps2
-    q = np.square(gram)
-    q += cfg.eps1
-    q /= den
-    q /= den
-    np.fill_diagonal(q, 0.0)
-    grad = np.divide(gram, den, out=den)
-    np.fill_diagonal(grad, -(q @ diag))
-    return grad
+    return _gram_gradient(np.asarray(gram, dtype=float), cfg.eps1, cfg.eps2, None)
 
 
-def weight_gradient(phi, gram, cfg=None):
+def weight_gradient(phi, gram, cfg=None, *, work=None):
     """Chain-rule gradient with respect to the selection weights.
 
     Component i is the quadratic form of sensor row i against the Gram
-    gradient; the d x d conjugation is never materialized.
+    gradient; the d x d conjugation is never materialized.  With `work`
+    the n x n and d x n steps run in its arrays, starting from the den
+    and ratio of the last objective evaluation when that was on `gram`
+    itself (unchanged since).
     """
     cfg = cfg or InsenseConfig()
-    prod = phi @ gram_gradient(gram, cfg)
+    grad = _gram_gradient(np.asarray(gram, dtype=float), cfg.eps1, cfg.eps2, work)
+    prod = np.matmul(phi, grad, out=None if work is None else work.support)
     prod *= phi
     return prod.sum(axis=1)
 
@@ -257,30 +340,39 @@ def _unit_rms_scale(phi):
     return np.ldexp(phi, -exponent) if exponent else phi
 
 
-def _run_single(phi, m, cfg, rng, callback=None):
+def _score(phi, subset, scores):
+    """mu_avg of the rows `subset` of phi, computed once per distinct subset."""
+    key = subset.tobytes()
+    if key not in scores:
+        scores[key] = mu_avg(phi[subset])
+    return scores[key]
+
+
+def _run_single(phi, m, cfg, rng, work, callback=None):
     z = _initial_weights(phi.shape[0], m, cfg, rng)
-    gram = gram_matrix(phi, z)
-    f = _objective_from_gram(gram, cfg.eps1, cfg.eps2)
+    gram = gram_matrix(phi, z, work=work)
+    f = _objective_from_gram(gram, cfg.eps1, cfg.eps2, work=work)
     if not np.isfinite(f):
         raise NumericalFailureError("objective non-finite at the initial point", iteration=0)
+    work.accept(gram)
     trace = [f]
     evals = 1
     stop_reason = "max_iters"
     iterations = 0
     # best rounded candidate so far: (score, iteration, subset)
-    scored = _round_to_subset(z, m)
-    best = (mu_avg(phi[scored]), 0, scored)
+    subset = _round_to_subset(z, m)
+    best = (_score(phi, subset, work.scores), 0, subset)
     step = _LS_INIT_STEP
     for iterations in range(1, cfg.max_iters + 1):
-        grad = weight_gradient(phi, gram, cfg)
+        grad = weight_gradient(phi, gram, cfg, work=work)
         if iterations > 1:
             step = _bb_step(z - z_prev, grad - grad_prev, step, _LS_INIT_STEP)
         # backtracks move along the segment from z to end (module docstring)
         end = project_sbs(z - step * grad, m).z
-        gram_end = gram_matrix(phi, end)
+        gram_end = gram_matrix(phi, end, work=work)
         t, gram_cand = 1.0, gram_end
         for _ in range(_MAX_BACKTRACKS):
-            f_cand = _objective_from_gram(gram_cand, cfg.eps1, cfg.eps2)
+            f_cand = _objective_from_gram(gram_cand, cfg.eps1, cfg.eps2, work=work)
             evals += 1
             if not np.isfinite(f_cand):
                 raise NumericalFailureError(
@@ -290,7 +382,7 @@ def _run_single(phi, m, cfg, rng, callback=None):
             if f_cand <= f:
                 break
             t *= _LS_SHRINK
-            gram_cand = (1.0 - t) * gram + t * gram_end
+            gram_cand = work.segment(gram, gram_end, t)
         else:
             # no step at resolvable sizes descends; treat as converged
             stop_reason = "no_descent"
@@ -300,13 +392,13 @@ def _run_single(phi, m, cfg, rng, callback=None):
         z_prev, grad_prev = z, grad
         z = end if t == 1.0 else (1.0 - t) * z + t * end
         f, gram = f_cand, gram_cand
+        work.accept(gram)
         trace.append(f)
         subset = _round_to_subset(z, m)
-        # a repeated rounding repeats its score, which cannot beat best
-        if not np.array_equal(subset, scored):
-            scored, score = subset, mu_avg(phi[subset])
-            if score is not None and (best[0] is None or score < best[0]):
-                best = (score, iterations, subset)
+        # a rounding scored before repeats its score, which cannot beat best
+        score = _score(phi, subset, work.scores)
+        if score is not None and (best[0] is None or score < best[0]):
+            best = (score, iterations, subset)
         if callback is not None:
             callback(iterations, z, f)
         if rel_change < _REL_TOL:
@@ -368,13 +460,14 @@ def run_insense(phi, m, cfg=None, callback=None):
     cfg = cfg or InsenseConfig()
     phi = _unit_rms_scale(as_sensing_matrix(phi))
     m = validate_budget(m, phi.shape[0])
+    work = _StepWork(*phi.shape)
     best = None
     best_key = None
     evals = 0
     for r in range(cfg.restarts):
         rng = seeded_rng(cfg.seed, r)
         run_cfg = cfg if r == 0 else replace(cfg, init="uniform-plus-jitter")
-        result = _run_single(phi, m, run_cfg, rng, callback=callback)
+        result = _run_single(phi, m, run_cfg, rng, work, callback=callback)
         evals += result.objective_evals
         if result.subset_mu_avg is not None:
             key = (0, result.subset_mu_avg)

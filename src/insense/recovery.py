@@ -158,6 +158,26 @@ class RecoveryReport:
     def to_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_trial"}
 
+    def __eq__(self, other):
+        # a trial no LP ran on has a NaN residual and error, and NaN never
+        # equals itself; reading NaN as None keeps a report equal to its
+        # copies (pickled, or rebuilt from arrays), not only to itself
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._nan_free() == other._nan_free()
+
+    __hash__ = None
+
+    def _nan_free(self):
+        values = [_nan_to_none(v) for v in self.to_dict().values()]
+        if self.per_trial is not None:
+            values.append([tuple(map(_nan_to_none, t)) for t in self.per_trial])
+        return values
+
+
+def _nan_to_none(value):
+    return None if value != value else value
+
 
 def _split_csc(a):
     """Column-wise (start, index, value) arrays of the dense [a, -a].

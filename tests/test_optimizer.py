@@ -8,6 +8,7 @@ rows.
 """
 
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from insense import (
     run_insense,
     weight_gradient,
 )
-from insense.projection import BOX_TOL, SUM_TOL
+from insense.projection import BOX_TOL, SUM_TOL, project_sbs
+from insense.seeding import seeded_rng
 
 
 def _objective_loop(phi, z, eps1, eps2):
@@ -75,10 +77,13 @@ def test_gram_matrix_rejects_misshaped_weights():
             gram_matrix(phi, z)
 
 
-def _dense_gram(phi, z):
-    """phi.T @ diag(z) @ phi over every row, zero weights included."""
+def _dense_gram(phi, z, *, work=None):
+    """phi.T @ diag(z) @ phi over every row, zero weights included.
+
+    With a run's work arrays the result goes where gram_matrix puts its own.
+    """
     g = phi.T @ (np.asarray(z, dtype=float)[:, None] * phi)
-    return 0.5 * (g + g.T)
+    return np.multiply(0.5, g + g.T, out=None if work is None else work.gram_slot())
 
 
 # Each case carries its pinned objective evaluations, subset and subset
@@ -113,6 +118,139 @@ def test_descent_matches_dense_gram_reference(
     assert fast.objective_evals == dense.objective_evals
     assert fast.subset_mu_avg == dense.subset_mu_avg
     np.testing.assert_allclose(fast.objective_trace, dense.objective_trace, rtol=1e-12, atol=0.0)
+
+
+def _reference_descent(phi, m, cfg):
+    """run_insense with a step of fresh arrays, as before the work arrays.
+
+    Every Gram, objective and backtrack combination allocates its arrays,
+    den is np.outer(diag, diag) + eps2, the gradient is the full
+    gram_gradient, and every rounding is scored.  Returns the reported
+    restart's (subset, subset_iteration, subset_mu_avg, final_weights,
+    trace, stop_reason), the evaluations and the steps over all restarts.
+    """
+
+    def gram_of(z):
+        rows = np.flatnonzero(z)
+        support = phi[rows]
+        g = support.T @ (z[rows, None] * support)
+        return 0.5 * (g + g.T)
+
+    def objective(gram):
+        diag = np.diag(gram)
+        ratio = (np.square(gram) + cfg.eps1) / (np.outer(diag, diag) + cfg.eps2)
+        return float((ratio.sum() - np.trace(ratio)) / 2.0)
+
+    def gradient(gram):
+        prod = phi @ gram_gradient(gram, cfg)
+        prod *= phi
+        return prod.sum(axis=1)
+
+    phi = optimizer._unit_rms_scale(phi)
+    best, evals, steps = None, 0, 0
+    for r in range(cfg.restarts):
+        run_cfg = cfg if r == 0 else dataclasses.replace(cfg, init="uniform-plus-jitter")
+        z = optimizer._initial_weights(phi.shape[0], m, run_cfg, seeded_rng(cfg.seed, r))
+        gram = gram_of(z)
+        f = objective(gram)
+        trace, stop_reason = [f], "max_iters"
+        evals += 1
+        subset = optimizer._round_to_subset(z, m)
+        found = (mu_avg(phi[subset]), 0, subset)
+        step = optimizer._LS_INIT_STEP
+        for iterations in range(1, cfg.max_iters + 1):
+            grad = gradient(gram)
+            if iterations > 1:
+                step = optimizer._bb_step(z - z_prev, grad - grad_prev, step, optimizer._LS_INIT_STEP)
+            end = project_sbs(z - step * grad, m).z
+            gram_end = gram_of(end)
+            t, gram_cand = 1.0, gram_end
+            for _ in range(optimizer._MAX_BACKTRACKS):
+                f_cand = objective(gram_cand)
+                evals += 1
+                if f_cand <= f:
+                    break
+                t *= optimizer._LS_SHRINK
+                gram_cand = (1.0 - t) * gram + t * gram_end
+            else:
+                stop_reason = "no_descent"
+                break
+            steps += 1
+            rel_change = abs(f_cand - f) / max(abs(f), optimizer._REL_FLOOR)
+            step *= t
+            z_prev, grad_prev = z, grad
+            z = end if t == 1.0 else (1.0 - t) * z + t * end
+            f, gram = f_cand, gram_cand
+            trace.append(f)
+            subset = optimizer._round_to_subset(z, m)
+            score = mu_avg(phi[subset])
+            if score is not None and (found[0] is None or score < found[0]):
+                found = (score, iterations, subset)
+            if rel_change < optimizer._REL_TOL:
+                stop_reason = "rel_tol"
+                break
+            if found[0] is not None and iterations - found[1] >= optimizer._PATIENCE:
+                stop_reason = "stalled"
+                break
+        key = (0, found[0]) if found[0] is not None else (1, f)
+        if best is None or key < best[0]:
+            best = (key, (found[2], found[1], found[0], z, trace, stop_reason))
+    return best[1], evals, steps
+
+
+@pytest.mark.parametrize(
+    "spec, m, cfg",
+    [
+        (EnsembleSpec("uniform-gaussian", d=200, n=200, seed=0, gaussian_rows=10), 10,
+         InsenseConfig(init="uniform-plus-jitter", seed=0)),
+        (EnsembleSpec("identity-gaussian", d=100, n=50, seed=0), 10,
+         InsenseConfig(init="uniform-plus-jitter", restarts=3, seed=0)),
+        (EnsembleSpec("gaussian", d=60, n=60, seed=0), 20, InsenseConfig(seed=0)),
+    ],
+    ids=["uniform-gaussian", "identity-gaussian", "gaussian"],
+)
+def test_descent_in_work_arrays_matches_the_fresh_array_reference(spec, m, cfg):
+    phi = generate(spec)
+    got = run_insense(phi, m, cfg)
+    (subset, subset_iteration, score, final_weights, trace, stop_reason), evals, steps = (
+        _reference_descent(phi, m, cfg)
+    )
+    np.testing.assert_array_equal(got.subset, subset)
+    assert got.subset_iteration == subset_iteration
+    assert got.subset_mu_avg == score
+    assert got.final_weights.tobytes() == final_weights.tobytes()
+    assert got.objective_trace == trace
+    assert got.stop_reason == stop_reason
+    assert got.objective_evals == evals
+    if cfg.restarts > 1:
+        # some steps backtracked, so the combined Grams were compared too
+        assert evals > steps + cfg.restarts
+
+
+def test_gradient_reuses_den_and_ratio_only_of_its_own_gram():
+    rng = np.random.default_rng(53)
+    cfg = InsenseConfig()
+    phi = rng.standard_normal((30, 20))
+    z1, z2 = rng.uniform(0.0, 1.0, 30), np.where(rng.uniform(size=30) < 0.5, 0.4, 0.0)
+    work = optimizer._StepWork(30, 20)
+    expected = weight_gradient(phi, gram_matrix(phi, z2), cfg)
+    # the work holds den/ratio of the Gram of z1, the gradient is asked at z2's
+    gram1 = gram_matrix(phi, z1, work=work)
+    np.testing.assert_array_equal(gram1, gram_matrix(phi, z1))
+    optimizer._objective_from_gram(gram1, cfg.eps1, cfg.eps2, work=work)
+    other = gram_matrix(phi, z2)
+    np.testing.assert_array_equal(weight_gradient(phi, other, cfg, work=work), expected)
+    # den/ratio of z1's Gram, then z2's Gram written over it in the same slot
+    optimizer._objective_from_gram(gram1, cfg.eps1, cfg.eps2, work=work)
+    gram2 = gram_matrix(phi, z2, work=work)
+    assert gram2 is gram1
+    np.testing.assert_array_equal(weight_gradient(phi, gram2, cfg, work=work), expected)
+    # den/ratio of the Gram itself are reused, with the same bits
+    f = optimizer._objective_from_gram(gram2, cfg.eps1, cfg.eps2, work=work)
+    assert f == coherence_objective(phi, z2, cfg)
+    assert work.source is gram2
+    np.testing.assert_array_equal(weight_gradient(phi, gram2, cfg, work=work), expected)
+    assert work.source is None
 
 
 def _restart_paths(phi, m, cfg):
@@ -211,9 +349,9 @@ def _objective_turns_at(monkeypatch, after, value):
     state = {"turned": after == 0, "evals": 0}
     true_objective = optimizer._objective_from_gram
 
-    def objective(gram, eps1, eps2):
+    def objective(gram, eps1, eps2, **kwargs):
         state["evals"] += 1
-        f = true_objective(gram, eps1, eps2)
+        f = true_objective(gram, eps1, eps2, **kwargs)
         return value(f) if state["turned"] and state["evals"] > 1 else f
 
     def callback(iteration, z, f):
@@ -255,10 +393,13 @@ def test_non_finite_objective_mid_descent_raises(monkeypatch, bad):
 def test_hot_layers_are_called_by_module_name(monkeypatch):
     # per-layer tracing wraps these module-global names of insense.optimizer
     calls = collections.Counter()
+    scored = []
     for name in ("gram_matrix", "weight_gradient", "project_sbs", "mu_avg"):
 
         def counted(*args, _name=name, _fn=getattr(optimizer, name), **kwargs):
             calls[_name] += 1
+            if _name == "mu_avg":
+                scored.append(args[0].tobytes())
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, name, counted)
@@ -270,14 +411,19 @@ def test_hot_layers_are_called_by_module_name(monkeypatch):
     assert calls["gram_matrix"] == calls["project_sbs"] == one.iterations + 1
     assert calls["weight_gradient"] == one.iterations
     assert one.objective_evals > calls["gram_matrix"]
-    # one score for the start and at most one per accepted step
+    # one score for the start and at most one per accepted step, none for
+    # a rounding scored before
     assert calls["mu_avg"] <= len(one.objective_trace)
+    assert len(set(scored)) == len(scored)
     calls.clear()
+    scored.clear()
     three = run_insense(phi, 5, InsenseConfig(init="uniform-plus-jitter", seed=3, restarts=3))
     # the counts cover every restart, not only the one reported
     assert calls["gram_matrix"] == calls["project_sbs"] == calls["weight_gradient"] + 3
     assert calls["gram_matrix"] > one.iterations + 1
     assert three.objective_evals > one.objective_evals
+    # a run scores each distinct rounding once, across its restarts too
+    assert len(set(scored)) == len(scored)
 
 
 def test_bb_step_branches():

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -987,6 +988,25 @@ def test_fractional_subset_is_rejected():
     whole = evaluate_recovery(np.eye(4), [0.0, 1.0, 2.0], 1, keep_trials=True)
     ref = evaluate_recovery(np.eye(4), [0, 1, 2], 1, keep_trials=True)
     assert whole == ref
+
+
+def test_report_equality_survives_a_round_trip():
+    # refuted trials carry NaN residuals and errors, which a pickle round
+    # trip turns into distinct float objects
+    phi = np.random.default_rng(11).standard_normal((10, 40))
+    report = evaluate_recovery(phi, np.arange(10), 2, keep_trials=True)
+    assert report.refuted > 0
+    copy = pickle.loads(pickle.dumps(report))
+    assert copy == report and not copy != report
+    # equality still sees every field and every trial
+    assert dataclasses.replace(copy, exact_count=copy.exact_count + 1) != report
+    trials = list(copy.per_trial)
+    refuted = next(i for i, t in enumerate(trials) if math.isnan(t.residual))
+    trials[refuted] = trials[refuted]._replace(residual=0.0)
+    assert dataclasses.replace(copy, per_trial=trials) != report
+    assert dataclasses.replace(copy, per_trial=None) != report
+    with pytest.raises(TypeError):
+        hash(report)
 
 
 def test_sparsity_bounds():
