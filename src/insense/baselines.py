@@ -13,7 +13,7 @@ from .exceptions import ExhaustiveLimitError
 from .metrics import as_sensing_matrix, mu_avg, validate_budget
 from .seeding import seeded_rng
 
-EXHAUSTIVE_LIMIT = 1_000_000  # default cap on the subsets one exhaustive search visits
+EXHAUSTIVE_LIMIT = 1_000_000  # cap on the subsets one exhaustive search visits
 
 
 def select_random(phi, m, seed=0):
@@ -50,19 +50,21 @@ def select_fp_greedy(phi, m):
     return np.nonzero(alive)[0]
 
 
-def select_exhaustive_mu_avg(phi, m, limit=EXHAUSTIVE_LIMIT):
+def select_exhaustive_mu_avg(phi, m):
     """Minimum-mu_avg subset by full enumeration over (d choose m) subsets.
 
     Subsets with undefined coherence (a zero column) rank last; ties keep
     the lexicographically first subset.  Refuses instances whose subset
-    count exceeds `limit`.
+    count exceeds EXHAUSTIVE_LIMIT.
     """
     phi = as_sensing_matrix(phi)
     d = phi.shape[0]
     m = validate_budget(m, d)
     total = math.comb(d, m)
-    if total > limit:
-        raise ExhaustiveLimitError(f"({d} choose {m}) = {total} exceeds the limit {limit}")
+    if total > EXHAUSTIVE_LIMIT:
+        raise ExhaustiveLimitError(
+            f"({d} choose {m}) = {total} exceeds the limit {EXHAUSTIVE_LIMIT}"
+        )
     best_subset = None
     best_val = math.inf
     for combo in itertools.combinations(range(d), m):

@@ -24,12 +24,11 @@ import time
 
 import numpy as np
 
-from .baselines import EXHAUSTIVE_LIMIT
 from .datagen import KINDS, EnsembleSpec, generate, load_matrix, manifest, save_matrix
 from .exceptions import InsenseError
 from .experiment import SELECTORS, configure, resolve_config, run_benchmark, write_outputs
 from .metrics import as_whole_number, extract_submatrix, metric_report, validate_subset
-from .optimizer import INIT_MODES, InsenseConfig
+from .optimizer import INIT_MODES, InsenseConfig, SelectionResult
 from .recovery import BpConfig, evaluate_recovery
 
 OUTDIR_ENV = "INSENSE_OUTDIR"
@@ -90,13 +89,17 @@ def _add_source_flags(parser):
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--matrix", metavar="FILE", help="CSV file, one row per sensor")
     source.add_argument("--ensemble", choices=KINDS, help="draw a synthetic matrix instead")
+    _add_ensemble_flags(parser)
+
+
+def _add_ensemble_flags(parser):
     parser.add_argument("--d", type=_positive_int, help="rows (ensemble only)")
     parser.add_argument("--n", type=_positive_int, help="columns (ensemble only)")
     parser.add_argument(
         "--gaussian-rows",
         type=_positive_int,
-        default=10,
-        help="Gaussian block height of uniform-gaussian (default 10)",
+        default=EnsembleSpec.gaussian_rows,
+        help=f"Gaussian block height of uniform-gaussian (default {EnsembleSpec.gaussian_rows})",
     )
     parser.add_argument(
         "--signed", action="store_true", help="draw bernoulli01 entries from {-1,+1}"
@@ -172,13 +175,20 @@ def cmd_generate(args):
 
 def cmd_select(args):
     phi, source = _load_phi(args)
-    selector = SELECTORS[args.method]
-    # the method's options are the flags of the same name, e.g. --max-iters
-    options = {k: v for k, v in vars(args).items() if k in selector.options}
+    # the options are the option flags given, e.g. --max-iters as max_iters;
+    # configure rejects one the method does not take
+    names = set().union(*(s.options for s in SELECTORS.values()))
+    options = {k: v for k, v in vars(args).items() if k in names and v is not None}
     settings = configure(args.method, options)
     start = time.perf_counter()
-    subset, result = selector.run(phi, args.m, args.seed, settings)
+    subset, result = SELECTORS[args.method].run(phi, args.m, args.seed, settings)
     elapsed = time.perf_counter() - start
+    # the descent fields of the result, or None for a method without descent
+    descent = dict.fromkeys([f.name for f in dataclasses.fields(SelectionResult)] + ["converged"])
+    if result is not None:
+        descent = {**dataclasses.asdict(result), "converged": result.converged}
+    del descent["subset"]
+    descent["weights"] = descent.pop("final_weights")
     payload = {
         "matrix": source,
         "method": args.method,
@@ -186,16 +196,7 @@ def cmd_select(args):
         "seed": args.seed,
         "options": options,
         "indices": [int(i) for i in subset],
-        "weights": None if result is None else [float(w) for w in result.final_weights],
-        "objective_trace": None if result is None else [float(v) for v in result.objective_trace],
-        "final_objective": None if result is None else float(result.final_objective),
-        "iterations": None if result is None else int(result.iterations),
-        "converged": None if result is None else bool(result.converged),
-        "stop_reason": None if result is None else result.stop_reason,
-        "subset_iteration": None if result is None else int(result.subset_iteration),
-        "objective_evals": None if result is None else int(result.objective_evals),
-        "subset_mu_avg": None if result is None or result.subset_mu_avg is None
-        else float(result.subset_mu_avg),
+        **descent,
         "time_s": elapsed,
     }
     out = args.out or os.path.join(_outdir(args), "selection.json")
@@ -207,16 +208,12 @@ def cmd_metrics(args):
     phi, source = _load_phi(args)
     subset = _resolve_subset(args, phi.shape[0])
     sub = phi if subset is None else extract_submatrix(phi, subset)
-    report = metric_report(sub)
     payload = {
         "matrix": source,
         "subset": subset,
-        "rows": int(sub.shape[0]),
-        "cols": int(sub.shape[1]),
-        "mu_avg": report.mu_avg,
-        "mu_max": report.mu_max,
-        "frame_potential": report.frame_potential,
-        "condition_number": report.condition_number,
+        "rows": sub.shape[0],
+        "cols": sub.shape[1],
+        **dataclasses.asdict(metric_report(sub)),
     }
     _dump(payload, args.out)
     return 0
@@ -267,11 +264,8 @@ def build_parser():
 
     p = sub.add_parser("generate", help="draw a synthetic matrix and write it to CSV")
     p.add_argument("--ensemble", choices=KINDS, required=True)
-    p.add_argument("--d", type=_positive_int, required=True, help="rows")
-    p.add_argument("--n", type=_positive_int, required=True, help="columns")
+    _add_ensemble_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gaussian-rows", type=_positive_int, default=10)
-    p.add_argument("--signed", action="store_true")
     p.add_argument("--out", help="output CSV path (default: derived name in the output dir)")
     p.add_argument("--outdir", help=f"output directory (default: ${OUTDIR_ENV} or '.')")
     p.set_defaults(func=cmd_generate)
@@ -281,10 +275,11 @@ def build_parser():
     p.add_argument("--m", type=_positive_int, required=True, help="number of rows to keep")
     p.add_argument("--method", choices=tuple(SELECTORS), default="insense")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=_positive_int, default=InsenseConfig.restarts)
-    p.add_argument("--max-iters", type=_positive_int, default=InsenseConfig.max_iters)
-    p.add_argument("--init", choices=INIT_MODES, default=InsenseConfig.init)
-    p.add_argument("--exhaustive-limit", type=_positive_int, default=EXHAUSTIVE_LIMIT)
+    # no defaults here: InsenseConfig holds them, and only flags given become options
+    insense_only = "insense only (default {})".format
+    p.add_argument("--restarts", type=_positive_int, help=insense_only(InsenseConfig.restarts))
+    p.add_argument("--max-iters", type=_positive_int, help=insense_only(InsenseConfig.max_iters))
+    p.add_argument("--init", choices=INIT_MODES, help=insense_only(InsenseConfig.init))
     p.add_argument("--out", help="output JSON path (default: selection.json in the output dir)")
     p.add_argument("--outdir", help=f"output directory (default: ${OUTDIR_ENV} or '.')")
     p.set_defaults(func=cmd_select)

@@ -16,22 +16,15 @@ import numpy as np
 from dataclasses import asdict, fields, replace
 from typing import Callable, NamedTuple
 
-from .baselines import EXHAUSTIVE_LIMIT, select_exhaustive_mu_avg, select_fp_greedy, select_random
+from .baselines import select_exhaustive_mu_avg, select_fp_greedy, select_random
 from .datagen import EnsembleSpec, block_layout, generate, load_matrix
 from .exceptions import InsenseError
-from .metrics import as_integer, extract_submatrix, metric_report
+from .metrics import MetricReport, as_integer, extract_submatrix, metric_report
 from .optimizer import InsenseConfig, run_insense
 from .recovery import BpConfig, evaluate_recovery
 from .seeding import derive_seed
 
-_SUMMARY_COLUMNS = (
-    "mu_avg",
-    "mu_max",
-    "frame_potential",
-    "condition_number",
-    "gaussian_ratio",
-    "time_s",
-)
+_SUMMARY_COLUMNS = (*(f.name for f in fields(MetricReport)), "gaussian_ratio", "time_s")
 _CONFIG_KEYS = {
     "matrix",
     "seed",
@@ -43,7 +36,7 @@ _CONFIG_KEYS = {
     "formats",
     "output_dir",
 }
-_ENSEMBLE_KEYS = {"kind", "d", "n", "gaussian_rows", "signed"}
+_ENSEMBLE_KEYS = {f.name for f in fields(EnsembleSpec)} - {"seed"}
 
 
 class Selector(NamedTuple):
@@ -55,10 +48,6 @@ class Selector(NamedTuple):
     options: frozenset
     build: Callable
     run: Callable
-
-
-def _exhaustive_limit(exhaustive_limit=EXHAUSTIVE_LIMIT):
-    return as_integer(exhaustive_limit, "exhaustive_limit", least=1)
 
 
 # Runners look the selectors up by module-level name at call time, so a
@@ -76,8 +65,8 @@ def _fp_greedy(phi, m, seed, _):
     return select_fp_greedy(phi, m), None
 
 
-def _exhaustive(phi, m, seed, limit):
-    return select_exhaustive_mu_avg(phi, m, limit=limit), None
+def _exhaustive(phi, m, seed, _):
+    return select_exhaustive_mu_avg(phi, m), None
 
 
 SELECTORS = {
@@ -87,7 +76,7 @@ SELECTORS = {
     ),
     "random": Selector(frozenset(), lambda: None, _random),
     "fp-greedy": Selector(frozenset(), lambda: None, _fp_greedy),
-    "exhaustive-mu-avg": Selector(frozenset({"exhaustive_limit"}), _exhaustive_limit, _exhaustive),
+    "exhaustive-mu-avg": Selector(frozenset(), lambda: None, _exhaustive),
 }
 
 
@@ -108,6 +97,11 @@ def configure(method, options):
         raise InsenseError(f"bad options for {method}: {exc}") from None
 
 
+def _options(entry):
+    """The options of a selector entry: every key but its method and name."""
+    return {k: v for k, v in entry.items() if k not in ("method", "name")}
+
+
 def _distinct_positive(values, what):
     if not isinstance(values, list):
         raise InsenseError(f"config '{what}' must be a list")
@@ -125,9 +119,12 @@ def resolve_config(raw, base_dir=".", output_dir="."):
     built here, and the matrix entry goes through EnsembleSpec's checks,
     so a bad option or shape fails before any cell runs.  A bad config
     raises InsenseError, or ValueError for a top-level count or seed that
-    is not an integer.  The returned dict is what gets embedded in every output
-    file, so the same resolved config always reproduces the same numbers
-    (wall-clock columns aside).
+    is not an integer.  The returned dict is a config in the same format,
+    with every default filled in and every path absolute: selector entries
+    stay flat {"method", "name", **options} dicts, and resolve_config
+    returns it unchanged.  It is what gets embedded in every output file,
+    so the embedded config re-runs to the same numbers (wall-clock columns
+    aside) and writes to the same output_dir.
     """
     if not isinstance(raw, dict):
         raise InsenseError("config root must be a JSON object")
@@ -164,7 +161,7 @@ def resolve_config(raw, base_dir=".", output_dir="."):
         if not isinstance(entry, dict) or "method" not in entry:
             raise InsenseError("each selector entry needs a 'method'")
         method = entry["method"]
-        options = {k: v for k, v in entry.items() if k not in ("method", "name")}
+        options = _options(entry)
         if "seed" in options:
             raise InsenseError("per-selector seeds are derived from the top-level seed")
         configure(method, options)
@@ -174,7 +171,7 @@ def resolve_config(raw, base_dir=".", output_dir="."):
         if label in labels:
             raise InsenseError(f"duplicate selector name {label!r}")
         labels.add(label)
-        resolved.append({"name": label, "method": method, "options": options})
+        resolved.append({"method": method, "name": label, **options})
 
     budgets = _distinct_positive(raw.get("budgets"), "budgets")
     if not budgets:
@@ -226,10 +223,7 @@ def _benchmark_cell(cfg, phi, layout, trial, s_idx, selector, settings, m_idx, m
         row["error"] = f"select: {exc}"
         return row
     row["subset"] = [int(i) for i in subset]
-    report = metric_report(extract_submatrix(phi, subset))
-    row["mu_avg"], row["mu_max"] = report.mu_avg, report.mu_max
-    row["frame_potential"] = report.frame_potential
-    row["condition_number"] = report.condition_number
+    row.update(asdict(metric_report(extract_submatrix(phi, subset))))
     if layout is not None and "gaussian" in layout:
         lo, hi = layout["gaussian"]
         inside = sum(1 for i in row["subset"] if lo <= i < hi)
@@ -255,7 +249,7 @@ def run_benchmark(cfg):
     Rows come in trial, then selector, then budget order.  A selector or
     recovery failure lands in the row's `error` column instead of raising.
     """
-    settings = [configure(s["method"], s["options"]) for s in cfg["selectors"]]
+    settings = [configure(s["method"], _options(s)) for s in cfg["selectors"]]
     matrix = cfg["matrix"]
     file_phi = load_matrix(matrix["file"]) if "file" in matrix else None
     rows = []

@@ -595,10 +595,11 @@ def _dual_screen(a, supports):
             live, sup, a_s, root = live[keep], sup[keep], a_s[keep], root[keep]
             if step == _CERT_ITERS:
                 if p <= n - k:
-                    # the reference sets: the p largest |a_l' w| off the support
+                    # the reference sets: the p largest |a_l' w| off the support,
+                    # copied so that the pool holds p columns of indices, not n
                     corr = corr[keep]
                     corr[np.arange(len(live))[:, None], sup] = -1.0
-                    pool.append((live, sup, root, np.argpartition(corr, n - p)[:, n - p:]))
+                    pool.append((live, sup, root, np.argpartition(corr, n - p)[:, n - p:].copy()))
                 break
             weights = weights[keep]
             weights /= weights.sum(axis=1, keepdims=True)

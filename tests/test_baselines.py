@@ -19,6 +19,7 @@ from insense import (
     select_fp_greedy,
     select_random,
 )
+from insense.baselines import EXHAUSTIVE_LIMIT
 from insense.experiment import SELECTORS, configure
 
 
@@ -101,8 +102,9 @@ def test_exhaustive_prefers_defined_scores():
 
 def test_exhaustive_refuses_oversized_enumerations():
     phi = np.ones((30, 3))
+    assert math.comb(30, 15) > EXHAUSTIVE_LIMIT
     with pytest.raises(ExhaustiveLimitError):
-        select_exhaustive_mu_avg(phi, 15, limit=10)
+        select_exhaustive_mu_avg(phi, 15)
 
 
 def test_dispatch_matches_direct_calls():
@@ -118,7 +120,8 @@ def test_dispatch_matches_direct_calls():
         registry("exhaustive-mu-avg")[0], select_exhaustive_mu_avg(phi, 3)
     )
     assert all(registry(m)[1] is None for m in ("random", "fp-greedy", "exhaustive-mu-avg"))
-    with pytest.raises(ExhaustiveLimitError):
+    # the cap on the enumeration is a constant, not an option
+    with pytest.raises(InsenseError, match="unknown options"):
         registry("exhaustive-mu-avg", exhaustive_limit=10)
     subset, result = registry("insense", seed=7, max_iters=20)
     direct = run_insense(phi, 3, InsenseConfig(seed=7, max_iters=20))
@@ -142,9 +145,10 @@ def test_config_rejects_unknown_method():
         ("insense", {"max_iters": True}),
         ("insense", {"restarts": 1.5}),
         ("insense", {"init": "zeros"}),
-        ("exhaustive-mu-avg", {"exhaustive_limit": "abc"}),
-        ("exhaustive-mu-avg", {"exhaustive_limit": 0}),
-        ("exhaustive-mu-avg", {"exhaustive_limit": True}),
     ):
         with pytest.raises(InsenseError, match="bad options"):
             configure(method, options)
+    # the cap on an exhaustive search was an option once
+    for value in ("abc", 0, True):
+        with pytest.raises(InsenseError, match="unknown options"):
+            configure("exhaustive-mu-avg", {"exhaustive_limit": value})

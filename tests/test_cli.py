@@ -6,6 +6,7 @@ SystemExit), runtime failures with 1 (returned), and successes with 0.
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -145,6 +146,82 @@ def test_select_random_is_reproducible(capsys, tmp_path):
     assert first["stop_reason"] is None
 
 
+_IG_SOURCE = ["--ensemble", "identity-gaussian", "--d", "20", "--n", "10", "--seed", "2"]
+_IG_MATRIX = {"ensemble": {"d": 20, "gaussian_rows": 10, "kind": "identity-gaussian", "n": 10,
+                           "seed": 2, "signed": False}}
+# select payloads on identity-gaussian 20x10 at seed 2, m = 4, all but time_s
+# and options; recorded before the experiment layer lost its restated fields
+_PINNED_SELECT = {
+    "insense": {
+        "converged": False, "final_objective": 1.4362244905051682, "indices": [9, 13, 17, 18],
+        "iterations": 11, "m": 4, "matrix": _IG_MATRIX, "method": "insense",
+        "objective_evals": 19,
+        "objective_trace": [
+            3.3890181544605786, 3.1127831699796733, 2.7036873777657373, 2.532486723050326,
+            2.4597451227660745, 2.414390562376399, 2.221811632534849, 2.162315175052642,
+            1.605808289229019, 1.5529905463742137, 1.4970560302966067, 1.4362244905051682,
+        ],
+        "seed": 2, "stop_reason": "stalled", "subset_iteration": 1,
+        "subset_mu_avg": 0.5073458652302714,
+        "weights": [
+            0.15757398428314517, 0.4425869780619582, 0.3868388883026083, 0.17256993321477213,
+            0.20858559688963452, 0.4311009047508251, 0.2105153073616829, 0.1158289236881234,
+            0.2814393669054848, 0.5152819570181306, 0.04206517609747248, 0.14421314378189187,
+            0.01585392854746357, 0.2580646578545925, 0.044767695802884235, 0.04360901183035868,
+            0.044554578111344396, 0.11796145500652784, 0.16117159469209086, 0.2054169177990086,
+        ],
+    },
+    "fp-greedy": {
+        "converged": None, "final_objective": None, "indices": [0, 6, 7, 8], "iterations": None,
+        "m": 4, "matrix": _IG_MATRIX, "method": "fp-greedy", "objective_evals": None,
+        "objective_trace": None, "seed": 2, "stop_reason": None, "subset_iteration": None,
+        "subset_mu_avg": None, "weights": None,
+    },
+}
+
+
+def test_select_and_metrics_payloads_are_pinned(capsys, tmp_path):
+    for method, pinned in _PINNED_SELECT.items():
+        out = tmp_path / f"{method}.json"
+        code, payload = _run(
+            capsys, ["select", *_IG_SOURCE, "--m", "4", "--method", method, "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text()) == payload
+        assert payload.pop("time_s") >= 0.0
+        del payload["options"]
+        assert _same(payload, pinned), method
+
+    code, payload = _run(
+        capsys, ["metrics", *_IG_SOURCE, "--selection", str(tmp_path / "insense.json")])
+    assert code == 0
+    assert _same(payload, {
+        "cols": 10, "condition_number": 3.62117999866527, "frame_potential": 3.597448923275415,
+        "matrix": _IG_MATRIX, "mu_avg": 0.5073458652302714, "mu_max": 0.9927752919515729,
+        "rows": 4, "subset": [9, 13, 17, 18],
+    })
+
+
+def test_select_options_are_the_flags_given(capsys, tmp_path):
+    argv = ["select", *_IG_SOURCE, "--m", "4", "--out", str(tmp_path / "s.json")]
+    _, payload = _run(capsys, argv)
+    assert payload["options"] == {}
+    _, payload = _run(capsys, [*argv, "--restarts", "2", "--init", "uniform-plus-jitter"])
+    assert payload["options"] == {"restarts": 2, "init": "uniform-plus-jitter"}
+    # a select payload's method and options make a benchmark selector entry
+    cfg = experiment.resolve_config(_benchmark_config(
+        "out", {"kind": "identity-gaussian", "d": 20, "n": 10}))
+    cfg["selectors"] = [{"method": payload["method"], **payload["options"]}]
+    experiment.resolve_config(cfg)
+
+    # flags the method does not take were dropped without a word
+    for method, flags, unknown in (("random", ["--restarts", "5"], "['restarts']"),
+                                   ("fp-greedy", ["--max-iters", "3", "--init", "uniform"],
+                                    "['init', 'max_iters']")):
+        capsys.readouterr()
+        assert main([*argv, "--method", method, *flags]) == 1
+        assert capsys.readouterr().err == f"error: unknown options for {method}: {unknown}\n"
+
+
 def test_selected_subset_does_not_depend_on_blas_threads(tmp_path):
     # final_weights may differ in the last bits between thread counts
     # (BLAS reduction order); the chosen rows must not
@@ -217,7 +294,7 @@ def test_runtime_errors_exit_1(capsys, tmp_path):
     code, _ = _run(
         capsys,
         ["select", "--ensemble", "gaussian", "--d", "40", "--n", "5", "--m", "20",
-         "--method", "exhaustive-mu-avg", "--exhaustive-limit", "100"],
+         "--method", "exhaustive-mu-avg"],
     )
     assert code == 1
 
@@ -257,22 +334,50 @@ def _benchmark_config(output_dir, matrix=None):
     }
 
 
-# (trial, selector, m, subset, bp_acc_k1) of _benchmark_config("..."),
-# recorded before the engine moved out of the CLI into insense.experiment
+# results.csv of _benchmark_config("..."), every column but time_s; recorded
+# before the engine moved out of the CLI into insense.experiment (trial,
+# selector, m, subset, bp_acc_k1) and before the experiment layer lost its
+# restated defaults and field lists (the rest)
+_PINNED_HEADER = ["trial", "selector", "m", "mu_avg", "mu_max", "frame_potential",
+                  "condition_number", "gaussian_ratio", "bp_acc_k1", "subset", "error"]
 _PINNED_ROWS = [
-    ("0", "ins", "4", "1;6;10;11", "100.0"),
-    ("0", "ins", "6", "0;1;6;7;10;11", "100.0"),
-    ("0", "random", "4", "1;4;9;11", "100.0"),
-    ("0", "random", "6", "0;4;8;9;10;11", "100.0"),
-    ("0", "fp-greedy", "4", "4;6;10;11", "100.0"),
-    ("0", "fp-greedy", "6", "0;1;4;6;10;11", "100.0"),
-    ("1", "ins", "4", "0;1;2;3", "100.0"),
-    ("1", "ins", "6", "0;3;4;7;9;10", "100.0"),
-    ("1", "random", "4", "4;6;7;11", "100.0"),
-    ("1", "random", "6", "2;5;6;7;8;11", "100.0"),
-    ("1", "fp-greedy", "4", "0;7;8;9", "100.0"),
-    ("1", "fp-greedy", "6", "0;3;7;8;9;10", "100.0"),
+    ("0", "ins", "4", 0.4262730036238113, 0.8667493657800536, 4.820500666543609,
+     1.7770174399553735, 100.0, 100.0, "1;6;10;11", ""),
+    ("0", "ins", "6", 0.332481741907111, 0.7184703234265613, 34.07766896620588,
+     4.422534683964039, 100.0, 100.0, "0;1;6;7;10;11", ""),
+    ("0", "random", "4", 0.523962314478297, 0.9640030981529503, 36.18575181923886,
+     3.1486728280146665, 100.0, 100.0, "1;4;9;11", ""),
+    ("0", "random", "6", 0.41037001461310285, 0.8700964425065014, 85.71323869758828,
+     6.772738300025112, 100.0, 100.0, "0;4;8;9;10;11", ""),
+    ("0", "fp-greedy", "4", 0.426961615339601, 0.8773073957698068, 2.482230413108738,
+     1.7275545372254348, 100.0, 100.0, "4;6;10;11", ""),
+    ("0", "fp-greedy", "6", 0.340252387191964, 0.799946462384171, 26.971811004743117,
+     4.728932905008145, 100.0, 100.0, "0;1;4;6;10;11", ""),
+    ("1", "ins", "4", 0.405092643704914, 0.7874842558056375, 22.11127328703543,
+     2.1130566767927434, 100.0, 100.0, "0;1;2;3", ""),
+    ("1", "ins", "6", 0.3534033500106534, 0.8254540140970039, 60.75175037031542,
+     3.409767215114055, 100.0, 100.0, "0;3;4;7;9;10", ""),
+    ("1", "random", "4", 0.4558579664844034, 0.859513809372003, 83.91936775084565,
+     2.5687371891485027, 100.0, 100.0, "4;6;7;11", ""),
+    ("1", "random", "6", 0.4395967832268617, 0.7339469015047676, 342.46344724673753,
+     7.555735016087622, 100.0, 100.0, "2;5;6;7;8;11", ""),
+    ("1", "fp-greedy", "4", 0.42004455444516436, 0.9706743966908119, 5.579294990120204,
+     2.0303212177422014, 100.0, 100.0, "0;7;8;9", ""),
+    ("1", "fp-greedy", "6", 0.3093550536051025, 0.8382537186405542, 31.96878583889699,
+     3.490813799586147, 100.0, 100.0, "0;3;7;8;9;10", ""),
 ]
+
+
+def _same(actual, pinned):
+    """actual equals pinned, floats (or their CSV text) to a relative 1e-9:
+    BLAS builds may differ in the last bits."""
+    if isinstance(pinned, float):
+        return actual is not None and math.isclose(float(actual), pinned, rel_tol=1e-9)
+    if isinstance(pinned, (list, tuple)):
+        return len(actual) == len(pinned) and all(map(_same, actual, pinned))
+    if isinstance(pinned, dict):
+        return actual.keys() == pinned.keys() and all(_same(actual[k], pinned[k]) for k in pinned)
+    return type(actual) is type(pinned) and actual == pinned
 
 
 def _read_results(path, drop_time=True):
@@ -301,8 +406,8 @@ def test_benchmark_outputs_and_reproducibility(capsys, tmp_path):
     assert rows_a == rows_b  # identical runs modulo wall-clock
     assert len(rows_a) == 12
     assert all(row[header_a.index("error")] == "" for row in rows_a)
-    picked = [header_a.index(c) for c in ("trial", "selector", "m", "subset", "bp_acc_k1")]
-    assert [tuple(row[i] for i in picked) for row in rows_a] == _PINNED_ROWS
+    assert header_a == _PINNED_HEADER
+    assert _same(rows_a, _PINNED_ROWS)
 
     summary = json.loads((tmp_path / "out_a" / "summary.json").read_text())
     cells = summary["cells"]
@@ -329,6 +434,7 @@ def test_experiment_api_rows_match_cli_csv(capsys, tmp_path):
 
     cfg = experiment.resolve_config(_benchmark_config("unused"), str(tmp_path))
     assert cfg["output_dir"] == str(tmp_path / "unused")
+    assert experiment.resolve_config(cfg) == cfg  # a resolved config is a config
     rows = experiment.run_benchmark(cfg)
     assert not (tmp_path / "unused").exists()  # running writes nothing
 
@@ -338,6 +444,39 @@ def test_experiment_api_rows_match_cli_csv(capsys, tmp_path):
         return ";".join(map(str, value)) if isinstance(value, list) else str(value)
 
     assert [[cell(row[c]) for c in header] for row in rows] == cli_rows
+
+
+def test_embedded_config_reruns_to_the_same_rows(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_benchmark_config("out")))
+    code, _ = _run(capsys, ["benchmark", "--config", str(cfg_path)])
+    assert code == 0
+    results = tmp_path / "out" / "results.csv"
+    embedded = results.read_text().splitlines()[0][2:]
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert json.loads(embedded) == summary["config"]
+    header, rows = _read_results(results)
+    results.unlink()
+
+    # from another directory: the embedded output_dir is absolute
+    again = tmp_path / "elsewhere"
+    again.mkdir()
+    (again / "cfg.json").write_text(embedded)
+    code, payload = _run(capsys, ["benchmark", "--config", str(again / "cfg.json")])
+    assert code == 0
+    assert payload["csv"] == str(results)
+    assert results.read_text().splitlines()[0][2:] == embedded
+    assert _read_results(results) == (header, rows)
+
+
+def test_formats_pick_the_files_written(tmp_path):
+    for formats, written in ((["csv"], "results.csv"), (["json"], "summary.json")):
+        raw = dict(_benchmark_config(formats[0]), budgets=[4], formats=formats)
+        cfg = experiment.resolve_config(raw, str(tmp_path))
+        paths = experiment.write_outputs(cfg, experiment.run_benchmark(cfg))
+        assert sorted(os.listdir(tmp_path / formats[0])) == [written]
+        path = str(tmp_path / formats[0] / written)
+        assert paths == {"csv": None, "json": None, formats[0]: path}
 
 
 def _fresh_process(argv, outdir):

@@ -460,6 +460,20 @@ def test_screen_memory_does_not_grow_with_the_rows_squared():
     assert peak < 32e6
 
 
+def test_exchange_pool_keeps_only_the_reference_sets():
+    # the pool used to hold each batch's full survivors x n index array, of
+    # which the exchange rounds read p columns: a 34.9 MB peak here
+    a = recovery._unit_columns(np.random.default_rng(5).standard_normal((10, 1000)))
+    supports = _supports(1000, 2, BpConfig(sample_cap=5000))[0]
+    tracemalloc.start()
+    try:
+        recovery._dual_screen(a, supports)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
 def test_screen_memory_past_32_rows_follows_the_entry_budget(monkeypatch):
     # all 64 rows: the Fuchs point leaves 406 of these supports undecided, and
     # the Lawson steps and exchange rounds that decide them hold their m x m
