@@ -8,9 +8,18 @@ sum_i clamp(y_i + lam, 0, 1) is non-decreasing in lam, the coordinates
 that clamp to 0 are a prefix of the sorted input and the ones that clamp
 to 1 are a suffix; both boundary sets are found by scanning candidate
 multipliers with prefix sums (O(d log d) total), after which lam follows
-from the budget on the interior coordinates.  A bisection fallback covers
-the rare case where rounding leaves no interior coordinate to solve on.
+from the budget on the interior coordinates.
+
+The scan runs on a shifted and clipped copy of the sorted input, so it is
+exact at every scale of y.  Shifting by the ceil(m)-th largest entry puts
+the multiplier of the shifted problem in (0, 1]: the clamped sum is at most
+ceil(m) - 1 < m at 0 and at least ceil(m) >= m at 1.  Entries at or beyond
++-1 then clamp the same way whatever their size, so clipping them to
+[-1, 1] changes no output, and every prefix sum stays within d in magnitude
+instead of cancelling digits of a large offset.
 """
+
+import math
 
 import numpy as np
 
@@ -20,8 +29,6 @@ from .exceptions import InfeasibleConstraintError
 
 SUM_TOL = 1e-8  # allowed |sum(z) - m| on output
 BOX_TOL = 1e-10  # allowed box violation on output
-
-_BISECT_STEPS = 100  # halves the bracket below double resolution
 
 
 @dataclass
@@ -46,23 +53,6 @@ def _clamp_sum(ys, prefix, thresholds):
     return mid + (ys.size - hi)
 
 
-def _bisect_multiplier(y, m):
-    """Multiplier with sum(clamp(y + lam, 0, 1)) = m, by bisection.
-
-    The clamped sum is 0 at lam = -max(y) and d at lam = 1 - min(y), and is
-    non-decreasing in between, so the bracket always contains a solution.
-    """
-    lo = -float(np.max(y))
-    hi = 1.0 - float(np.min(y))
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if np.clip(y + mid, 0.0, 1.0).sum() < m:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def project_sbs(y, m):
     """Project `y` onto {z : sum(z) = m, 0 <= z <= 1}.
 
@@ -77,7 +67,9 @@ def project_sbs(y, m):
     -------
     ProjectionResult
         z is the unique Euclidean projection; lam the equality multiplier
-        (one representative value when a whole interval is valid).
+        (one representative value when a whole interval is valid).  z is
+        exact up to rounding at every scale of y; lam is found for the
+        shifted input and loses the digits that the shift back rounds off.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size == 0:
@@ -92,8 +84,10 @@ def project_sbs(y, m):
         return ProjectionResult(z=np.ones(d), lam=1.0 - float(np.min(y)), k0=0, k1=d)
 
     # Stable sort so ties keep original order in the bookkeeping below.
+    # Then shift by the ceil(m)-th largest entry and clip (module docstring).
     order = np.argsort(y, kind="stable")
-    ys = y[order]
+    shift = y[order[d - math.ceil(m)]]
+    ys = np.clip(y[order] - shift, -1.0, 1.0)
     prefix = np.concatenate(([0.0], np.cumsum(ys)))
 
     # Both boundary scans in one pass over 2d thresholds.
@@ -115,16 +109,10 @@ def project_sbs(y, m):
     if interior > 0:
         lam = (m - k1 - (prefix[d - k1] - prefix[k0])) / interior
         z_sorted[k0 : d - k1] = np.clip(ys[k0 : d - k1] + lam, 0.0, 1.0)
-        if abs(z_sorted.sum() - m) > SUM_TOL:
-            lam = _bisect_multiplier(y, m)
-            z_sorted = np.clip(ys + lam, 0.0, 1.0)
-    elif abs(k1 - m) <= SUM_TOL:
+    else:
         # vertex solution; any multiplier separating the two blocks is valid
         lam = 0.5 * ((1.0 - ys[d - k1]) + (-ys[k0 - 1]))
-    else:
-        lam = _bisect_multiplier(y, m)
-        z_sorted = np.clip(ys + lam, 0.0, 1.0)
 
     z = np.empty(d)
     z[order] = z_sorted
-    return ProjectionResult(z=z, lam=float(lam), k0=k0, k1=k1)
+    return ProjectionResult(z=z, lam=float(lam - shift), k0=k0, k1=k1)

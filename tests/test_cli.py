@@ -446,6 +446,28 @@ def test_experiment_api_rows_match_cli_csv(capsys, tmp_path):
     assert [[cell(row[c]) for c in header] for row in rows] == cli_rows
 
 
+def test_failed_cells_land_in_the_error_column():
+    # C(40, 20) exceeds the exhaustive limit; k = 8 is no sparsity on 8 columns
+    cfg = experiment.resolve_config({
+        "matrix": {"kind": "gaussian", "d": 40, "n": 8},
+        "budgets": [4, 20],
+        "sparsities": [1, 8],
+        "selectors": [{"method": "exhaustive-mu-avg"}, {"method": "random"}],
+        "sample_cap": 5,
+    })
+    rows = experiment.run_benchmark(cfg)
+    assert [(r["selector"], r["m"]) for r in rows] == [
+        ("exhaustive-mu-avg", 4), ("exhaustive-mu-avg", 20), ("random", 4), ("random", 20)
+    ]
+    failed = rows.pop(1)
+    assert failed["error"].startswith("select: (40 choose 20)")
+    assert failed["subset"] is None and failed["bp_acc_k1"] is None
+    for row in rows:  # every other cell runs, up to the sweep that raises
+        assert row["error"].startswith("recover k=8: ")
+        assert len(row["subset"]) == row["m"] and row["mu_avg"] is not None
+        assert row["bp_acc_k1"] is not None and row["bp_acc_k8"] is None
+
+
 def test_embedded_config_reruns_to_the_same_rows(capsys, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_benchmark_config("out")))
@@ -614,6 +636,11 @@ def test_benchmark_config_errors_exit_1(capsys, tmp_path):
     variants.append(dict(base, sample_cap=2.5))
     variants.append(dict(base, formats=5))
     variants.append(dict(base, output_dir=5))
+    variants.append([base])  # the root is not an object
+    variants.append(dict(base, budgets=4))
+    variants.append(dict(base, matrix={"file": 5}))
+    variants.append(dict(base, selectors=[]))
+    variants.append(dict(base, selectors=[{"name": "r"}]))
     for i, cfg in enumerate(variants):
         path = tmp_path / f"bad_{i}.json"
         path.write_text(json.dumps(cfg))
