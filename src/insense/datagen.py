@@ -24,8 +24,8 @@ class EnsembleSpec:
     identity-gaussian stacks an n x n identity atop an n x n Gaussian
     block (d = 2n).  uniform-gaussian stacks `gaussian_rows` Gaussian rows
     atop uniform [0,1) rows.  signed switches bernoulli01 from {0,1} to
-    {-1,1} draws.  d, n, seed and gaussian_rows must be integers and signed
-    a bool; anything else raises a ValueError.
+    {-1,1} draws, and no other kind takes it.  d, n, seed and gaussian_rows
+    must be integers and signed a bool; anything else raises a ValueError.
     """
 
     kind: str
@@ -42,6 +42,8 @@ class EnsembleSpec:
             setattr(self, name, as_integer(getattr(self, name), name))
         if not isinstance(self.signed, bool):
             raise ValueError(f"signed must be true or false, got {self.signed!r}")
+        if self.signed and self.kind != "bernoulli01":
+            raise ValueError(f"signed applies only to bernoulli01, not {self.kind}")
         if self.d < 1 or self.n < 2:
             raise ValueError(f"need d >= 1 and n >= 2, got {self.d}x{self.n}")
         if self.kind == "identity-gaussian" and self.d != 2 * self.n:

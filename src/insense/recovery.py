@@ -63,15 +63,13 @@ from .seeding import seeded_rng
 # refutation, and the floor of the Lawson ridge), the gap to 1 that a
 # certificate or a refutation must keep, the Lawson steps after the Fuchs
 # point, the most entries of a batch's m x m matrices or of a block of the
-# outer-product table, the most exchange rounds after the Lawson steps, and
-# the rank-one updates of an exchange inverse per fresh one
+# outer-product table, and the most exchange rounds after the Lawson steps
 _CERT_CHUNK = 512
 _CERT_MIN_EIG_RATIO = 1e-6
 _CERT_MARGIN = 1e-6
 _CERT_ITERS = 6
 _CERT_ENTRIES = 2**18
 _EXCHANGE_ROUNDS = 40
-_EXCHANGE_REFRESH = 16
 # basis pursuit: the largest equality residual of an accepted solution,
 # the per-entry error of an exact recovery, and the simplex iterations of
 # one solve (inside a sweep, counted from the previous trial's basis)
@@ -179,22 +177,6 @@ def _nan_to_none(value):
     return None if value != value else value
 
 
-def _split_csc(a):
-    """Column-wise (start, index, value) arrays of the dense [a, -a].
-
-    They equal scipy.sparse.csc_array(np.hstack([a, -a]))'s indptr,
-    indices and data: exact zeros are left out, each column lists its rows
-    in increasing order, and the index arrays are int32, HiGHS's index type.
-    """
-    nonzero = a.T != 0
-    rows = np.nonzero(nonzero)[1].astype(np.int32)
-    values = a.T[nonzero]
-    counts = np.count_nonzero(nonzero, axis=1)
-    start = np.zeros(2 * a.shape[1] + 1, dtype=np.int32)
-    start[1:] = np.cumsum(np.concatenate([counts, counts]))
-    return start, np.concatenate([rows, rows]), np.concatenate([values, -values])
-
-
 class _BasisPursuit:
     """The basis pursuit LP of a fixed matrix, re-solved for each measurement.
 
@@ -205,7 +187,6 @@ class _BasisPursuit:
 
     def __init__(self, a):
         m, n = a.shape
-        start, index, value = _split_csc(a)
         lp = _highs.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = 2 * n
         lp.num_row_ = lp.a_matrix_.num_row_ = m
@@ -213,10 +194,11 @@ class _BasisPursuit:
         lp.col_lower_ = np.zeros(2 * n)
         lp.col_upper_ = np.full(2 * n, _highs.kHighsInf)
         lp.row_lower_ = lp.row_upper_ = np.zeros(m)
+        # [a, -a] as dense columns; HiGHS drops their zero entries itself
         lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = start
-        lp.a_matrix_.index_ = index
-        lp.a_matrix_.value_ = value
+        lp.a_matrix_.start_ = np.arange(0, 2 * n * m + 1, m)
+        lp.a_matrix_.index_ = np.tile(np.arange(m), 2 * n)
+        lp.a_matrix_.value_ = np.concatenate([a, -a], axis=1).T.ravel()
         self._a = a
         self._highs = _highs._Highs()
         self._highs.setOptionValue("output_flag", False)
@@ -364,14 +346,14 @@ def _inverse(mats):
         return out
 
 
-def _bordered(cols, sup, ref, border):
-    """K = [[A_S, -A_J], [0, border']] for each support, shape (c, m + 1, m + 1)."""
+def _bordered(cols, sup, ref):
+    """K = [[A_S, -A_J], [0, 1']] for each support, shape (c, m + 1, m + 1)."""
     c, k = sup.shape
     m = cols.shape[1]
     mat = np.zeros((c, m + 1, m + 1))
     mat[:, :m, :k] = cols[sup].transpose(0, 2, 1)
     mat[:, :m, k:] = -cols[ref].transpose(0, 2, 1)
-    mat[:, m, k:] = border
+    mat[:, m, k:] = 1.0
     return mat
 
 
@@ -384,11 +366,11 @@ def _exchange(a, sup, root, ref, reach):
     off-support columns for each.  reach is sqrt(n / lambda_min(A A')), or
     inf on linearly dependent rows, where the rounds refute nothing.
     Each support holds the inverse of its bordered matrix K = [[A_S, -A_J],
-    [0, sigma']], changed by a Sherman-Morrison rank-one update whenever K
-    changes; every _EXCHANGE_REFRESH-th update is a fresh batched inverse
-    instead.  An inverse of a (nearly) singular K may hold inf or NaN,
-    which ends that support's rounds without a verdict; numpy's warnings
-    about them are silenced.
+    [0, sigma']]: one batched inverse of K bordered with ones, then a
+    Sherman-Morrison rank-one update for the switch to sigma and one per
+    exchange, and nothing else.  An inverse of a (nearly) singular K may
+    hold inf or NaN, which ends that support's rounds without a verdict;
+    numpy's warnings about them are silenced.
     """
     k = sup.shape[1]
     m = a.shape[0]
@@ -402,16 +384,13 @@ def _exchange(a, sup, root, ref, reach):
     # sigma = sign(mu); the border then becomes sigma, the first rank-one
     # update: K gains e_m (0, sigma - 1)', and Sherman-Morrison divides by
     # 1 + (sigma - 1)' mu = sigma' mu = ||mu||_1 >= 1
-    inv = _inverse(_bordered(cols, sup, ref, np.ones(ref.shape)))
+    inv = _inverse(_bordered(cols, sup, ref))
     border = np.where(inv[:, k:, m] < 0.0, -1.0, 1.0)
-    if _EXCHANGE_REFRESH > 1:
-        dual = inv[:, :, m].copy()
-        row = ((border - 1.0)[:, :, None] * inv[:, k:]).sum(axis=1)
-        row /= np.abs(dual[:, k:]).sum(axis=1)[:, None]
-        inv -= dual[:, :, None] * row[:, None, :]
-    else:
-        inv = _inverse(_bordered(cols, sup, ref, border))
-    for step in range(_EXCHANGE_ROUNDS):
+    dual = inv[:, :, m].copy()
+    row = ((border - 1.0)[:, :, None] * inv[:, k:]).sum(axis=1)
+    row /= np.abs(dual[:, k:]).sum(axis=1)[:, None]
+    inv -= dual[:, :, None] * row[:, None, :]
+    for _ in range(_EXCHANGE_ROUNDS):
         # (lam, mu) = K^-1 e_m, the null vector of [A_S, -A_J] with sigma' mu
         # = 1, oriented with its border to 1'lam >= 0
         dual = inv[:, :, m]
@@ -459,17 +438,13 @@ def _exchange(a, sup, root, ref, reach):
         drop = (z[:, k:] * border / np.abs(dual[:, k:])).argmin(axis=1)
         ref[at, drop] = new
         border[at, drop] = sign
-        # this exchange is update step + 2 of K^-1, the border change the first
-        if (step + 2) % _EXCHANGE_REFRESH:
-            # column k + drop of K becomes [-a_l*; sigma*], which K^-1 maps to
-            # d = sigma* ((lam, mu) - z)
-            d = sign[:, None] * (dual - z)
-            q = k + drop
-            row = inv[at, q] / d[at, q][:, None]
-            inv -= d[:, :, None] * row[:, None, :]
-            inv[at, q] = row
-        else:
-            inv = _inverse(_bordered(cols, sup, ref, border))
+        # column k + drop of K becomes [-a_l*; sigma*], which K^-1 maps to
+        # d = sigma* ((lam, mu) - z)
+        d = sign[:, None] * (dual - z)
+        q = k + drop
+        row = inv[at, q] / d[at, q][:, None]
+        inv -= d[:, :, None] * row[:, None, :]
+        inv[at, q] = row
     return verdict
 
 

@@ -270,6 +270,8 @@ def test_usage_errors_exit_2():
     _usage_error(["metrics"])  # no source at all
     _usage_error(["metrics", "--ensemble", "gaussian", "--d", "4", "--n", "3",
                   "--subset", "1,1"])  # duplicate indices
+    # was ignored: an unsigned matrix, with "signed": true in its manifest
+    _usage_error(["generate", "--ensemble", "gaussian", "--d", "3", "--n", "2", "--signed"])
 
 
 def test_runtime_errors_exit_1(capsys, tmp_path):
@@ -573,6 +575,8 @@ def test_resolve_config_checks_the_matrix_as_an_ensemble_spec(tmp_path):
         ({"kind": "gaussian", "d": 12}, "n"),
         ({"kind": "gaussian", "d": 12, "n": 8.0}, "n must be an integer"),
         ({"kind": "bernoulli01", "d": 12, "n": 8, "signed": 1}, "signed"),
+        ({"kind": "gaussian", "d": 12, "n": 8, "signed": True},
+         "bad matrix: signed applies only to bernoulli01"),
     ):
         with pytest.raises(InsenseError, match=re.escape(message)):
             experiment.resolve_config(_benchmark_config("out", matrix), str(tmp_path))
@@ -617,6 +621,8 @@ def test_benchmark_config_errors_exit_1(capsys, tmp_path):
     variants.append(dict(base, budgets=[4.5]))  # was truncated to 4
     variants.append(dict(base, matrix={"kind": "bernoulli01", "d": 12, "n": 8,
                                        "signed": "false"}))  # was read as true
+    variants.append(dict(base, matrix={"kind": "gaussian", "d": 12, "n": 8,
+                                       "signed": True}))  # was ignored
     # misspelled matrix keys were ignored, and the shape was checked only by
     # run_benchmark
     variants.append(dict(base, matrix={"kind": "gaussian", "d": 12, "n": 8,

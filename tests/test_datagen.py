@@ -97,6 +97,14 @@ def test_spec_fields_must_be_integers_and_signed_a_bool(field, value):
         EnsembleSpec("bernoulli01", **fields)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "uniform01", "identity-gaussian",
+                                  "uniform-gaussian"])
+def test_signed_applies_only_to_bernoulli01(kind):
+    # was ignored: an unsigned matrix, with "signed": true in its manifest
+    with pytest.raises(ValueError, match="signed applies only to bernoulli01"):
+        EnsembleSpec(kind, d=8, n=4, gaussian_rows=2, signed=True)
+
+
 def test_spec_takes_numpy_integers_as_ints():
     spec = EnsembleSpec("gaussian", d=np.int64(4), n=np.int32(3), seed=np.uint64(7))
     assert (spec.d, spec.n, spec.seed) == (4, 3, 7)

@@ -327,13 +327,66 @@ def _screen_input(case):
     return recovery._unit_columns(phi[rows]), _supports(phi.shape[1], k, cfg)[0]
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _fresh_inverse_exchange(a, sup, root, ref, reach):
+    """The exchange rounds with a fresh inverse of every bordered matrix.
+
+    The slow path of recovery._exchange: no rank-one update, each round
+    inverts K = [[A_S, -A_J], [0, sigma']] anew.
+    """
+    k = sup.shape[1]
+    m = a.shape[0]
+    cols = a.T
+    verdict = np.zeros(len(sup), dtype=np.int8)
+    live = np.arange(len(sup))
+    limit = 1.0 / (recovery._CERT_MIN_EIG_RATIO**2 * (2 * m - k + 2))
+
+    def fresh(sup, ref, border):
+        mat = recovery._bordered(cols, sup, ref)
+        mat[:, m, k:] = border
+        return recovery._inverse(mat)
+
+    border = np.where(fresh(sup, ref, 1.0)[:, k:, m] < 0.0, -1.0, 1.0)
+    inv = fresh(sup, ref, border)
+    for _ in range(recovery._EXCHANGE_ROUNDS):
+        dual = inv[:, :, m]
+        flip = dual[:, :k].sum(axis=1) < 0.0
+        dual[flip] *= -1.0
+        border[flip] *= -1.0
+        lam, mu = dual[:, :k], dual[:, k:]
+        value = lam.sum(axis=1)
+        w = inv[:, :k, :m].sum(axis=1)
+        corr, sure = recovery._certify(w, a, sup, root)
+        bar = (1.0 + recovery._CERT_MARGIN) * np.abs(mu).sum(axis=1)
+        r = np.linalg.norm(np.einsum("ckm,ck->cm", cols[sup], lam)
+                           - np.einsum("cpm,cp->cm", cols[ref], mu), axis=1)
+        wrong = ~sure & math.isfinite(reach) & (value - r * reach > bar)
+        verdict[live[sure]] = 1
+        verdict[live[wrong]] = -1
+        new = corr.argmax(axis=1)
+        keep = (~(sure | wrong) & (ref != new[:, None]).all(axis=1)
+                & (np.einsum("cij,cij->c", inv, inv) < limit))
+        if not keep.any():
+            break
+        live, sup, root, ref, border, inv, new, w = (
+            x[keep] for x in (live, sup, root, ref, border, inv, new, w))
+        head = cols[new]
+        sign = np.where((w * head).sum(axis=1) < 0.0, -1.0, 1.0)
+        z = (inv[:, :, :m] @ head[:, :, None])[:, :, 0] * sign[:, None]
+        at = np.arange(len(live))
+        drop = (z[:, k:] * border / np.abs(inv[:, k:, m])).argmin(axis=1)
+        ref[at, drop] = new
+        border[at, drop] = sign
+        inv = fresh(sup, ref, border)
+    return verdict
+
+
 @pytest.mark.parametrize("case", sorted(_SCREENED_SWEEPS))
 def test_rank_one_updates_match_a_fresh_inverse_every_round(case, monkeypatch):
     a, supports = _screen_input(case)
     verdicts = recovery._dual_screen(a, supports)
     with monkeypatch.context() as patch:
-        # every rank-one update of an exchange inverse becomes a fresh inverse
-        patch.setattr(recovery, "_EXCHANGE_REFRESH", 1)
+        patch.setattr(recovery, "_exchange", _fresh_inverse_exchange)
         np.testing.assert_array_equal(recovery._dual_screen(a, supports), verdicts)
     # the exchange rounds decided some of these supports
     monkeypatch.setattr(recovery, "_EXCHANGE_ROUNDS", 0)
@@ -687,7 +740,9 @@ def test_matches_support_enumeration_oracle():
 
 
 @pytest.mark.parametrize("case", ["gaussian", "identity-rows", "zero-column"])
-def test_split_csc_matches_scipy_sparse(case):
+def test_highs_holds_the_sparse_split_matrix(case):
+    # [a, -a] goes to HiGHS as dense columns; the model it holds is the
+    # compressed-column [a, -a] without its zero entries
     rng = np.random.default_rng(21)
     if case == "gaussian":
         a = rng.standard_normal((7, 12))
@@ -697,17 +752,11 @@ def test_split_csc_matches_scipy_sparse(case):
         a = rng.standard_normal((5, 9))
         a[:, 4] = 0.0
         a[2, 6] = 0.0
-    start, index, value = recovery._split_csc(a)
+    held = recovery._BasisPursuit(a)._highs.getLp().a_matrix_
     ref = csc_array(np.hstack([a, -a]))
-    for got, want in [(start, ref.indptr), (index, ref.indices), (value, ref.data)]:
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-    # HiGHS takes the arrays as they are and holds the same entries
-    lp = recovery._highs.HighsLp()
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
-    assert list(lp.a_matrix_.start_) == start.tolist()
-    assert list(lp.a_matrix_.index_) == index.tolist()
-    assert list(lp.a_matrix_.value_) == value.tolist()
+    for got, want in [(held.start_, ref.indptr), (held.index_, ref.indices),
+                      (held.value_, ref.data)]:
+        np.testing.assert_array_equal(np.asarray(got), want)
 
 
 def test_solver_input_errors():
