@@ -115,8 +115,32 @@ def _pair_positions(n):
     return flat
 
 
+def _rms_exponent(phi):
+    """The even e that puts the RMS entry of phi / 2^e in [0.5, 2); 0 for a zero phi."""
+    peak = np.max(np.abs(phi))
+    if peak == 0.0:
+        return 0
+    rms = peak * np.sqrt(np.mean((phi / peak) ** 2))
+    return 2 * (int(np.frexp(rms)[1]) // 2)
+
+
+def _unit_rms_scale(phi):
+    """phi times the power of four that puts its RMS entry in [0.5, 2).
+
+    Scaling by a power of two is exact, so a quantity that does not depend
+    on the scale of phi comes out the same, bit for bit, from the scaled
+    matrix, and far from 1 it no longer overflows or underflows on the way:
+    the coherences, the recovery sweep, and the descent, whose smoothing
+    constants eps1/eps2 are absolute.  A matrix already in the band is
+    returned unchanged.
+    """
+    exponent = _rms_exponent(phi)
+    return np.ldexp(phi, -exponent) if exponent else phi
+
+
 def _coherence_values(phi):
     """Upper-triangle column coherences as a flat array, or None if undefined."""
+    phi = _unit_rms_scale(phi)
     norms = np.linalg.norm(phi, axis=0)
     if np.any(norms <= ZERO_RTOL * norms.max()):
         return None
@@ -146,12 +170,19 @@ def mu_max(phi):
 
 
 def frame_potential(phi):
-    """Sum of squared inner products over distinct row pairs (0 for one row)."""
+    """Sum of squared inner products over distinct row pairs (0 for one row).
+
+    Summed at the unit-RMS scale and scaled back exactly, so a potential
+    past the float range is inf, without an overflow warning.
+    """
     phi = as_sensing_matrix(phi)
     if phi.shape[0] < 2:
         return 0.0
-    r = phi @ phi.T
-    return float((np.sum(r * r) - np.sum(np.diag(r) ** 2)) / 2.0)
+    exponent = _rms_exponent(phi)
+    r = np.ldexp(phi, -exponent)
+    r = r @ r.T
+    with np.errstate(over="ignore"):
+        return float(np.ldexp((np.sum(r * r) - np.sum(np.diag(r) ** 2)) / 2.0, 4 * exponent))
 
 
 def condition_number(phi):

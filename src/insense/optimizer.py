@@ -44,7 +44,7 @@ import numpy as np
 from dataclasses import dataclass, field, replace
 
 from .exceptions import NumericalFailureError
-from .metrics import as_integer, as_sensing_matrix, mu_avg, validate_budget
+from .metrics import _unit_rms_scale, as_integer, as_sensing_matrix, mu_avg, validate_budget
 from .projection import project_sbs
 from .seeding import seeded_rng
 
@@ -322,22 +322,6 @@ def _bb_step(dz, dg, last, cap):
         if np.isfinite(step):
             return min(step, cap)
     return last
-
-
-def _unit_rms_scale(phi):
-    """phi times the power of four that puts its RMS entry in [0.5, 2).
-
-    The smoothing constants eps1/eps2 are absolute, so the descent only
-    behaves the same at every input scale when it always sees the matrix
-    at one scale.  Scaling by a power of two is exact, and a matrix
-    already in the band is returned unchanged.
-    """
-    peak = np.max(np.abs(phi))
-    if peak == 0.0:
-        return phi
-    rms = peak * np.sqrt(np.mean((phi / peak) ** 2))
-    exponent = 2 * (int(np.frexp(rms)[1]) // 2)
-    return np.ldexp(phi, -exponent) if exponent else phi
 
 
 def _score(phi, subset, scores):

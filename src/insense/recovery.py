@@ -25,20 +25,24 @@ undecided are pooled from the whole sweep and get exchange rounds on a
 reference set of columns, which decide nearly all of them.  Every
 matrix takes this one path; dependent rows (a repeated row, more rows
 than columns) only lose the refutations.  However many rows a sweep
-has, each array of m x m matrices the screen holds has at most
-_CERT_ENTRIES entries.  The undecided trials share the
-constraint matrix and only the measurement changes, so the first of them
+has, each phase is batched by the matrices it holds (k x m, m x m or
+(m + 1) x (m + 1)), so that no array of them has more than
+_CERT_ENTRIES entries.  The undecided trials share the constraint
+matrix and only the measurement changes, so the first of them
 builds one HiGHS model, and the sweep re-solves it with new row bounds
 per trial, in support order: each solve is a dual simplex run without
 presolve, warm-started from the basis the previous LP trial ended in,
 and _SIMPLEX_ITERATION_LIMIT caps the simplex iterations of each such
 run.  A sweep the screen decides in full builds no model.
 
-The sweep sees the selected submatrix with its columns scaled to unit
-l2 norm.  Column coherence, the quantity the selectors optimize, only
-constrains column directions; without the rescaling, per-column gain
-differences leak into the planted amplitudes and the sweep stops
-measuring the property the selection controlled.
+The sweep sees the selected submatrix scaled by the power of four that
+puts its RMS entry in [0.5, 2) (see metrics._unit_rms_scale; exact, so
+that no column norm overflows or underflows at any scale of phi), then
+with its columns scaled to unit l2 norm.  Column coherence, the
+quantity the selectors optimize, only constrains column directions;
+without the rescaling, per-column gain differences leak into the
+planted amplitudes and the sweep stops measuring the property the
+selection controlled.
 """
 
 import contextlib
@@ -55,7 +59,8 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .exceptions import SolverFailureError
-from .metrics import as_integer, as_sensing_matrix, as_whole_number, validate_subset
+from .metrics import (_unit_rms_scale, as_integer, as_sensing_matrix, as_whole_number,
+                      validate_subset)
 from .seeding import seeded_rng
 
 # dual screen of a sweep: the most supports per batched solve, the least
@@ -363,8 +368,11 @@ def _exchange(a, sup, root, ref, reach):
 
     sup (c, k) holds supports the Lawson steps left undecided, root their
     sigma_min(A_S), and ref (c, p) a reference set of p = m - k + 1
-    off-support columns for each.  reach is sqrt(n / lambda_min(A A')), or
-    inf on linearly dependent rows, where the rounds refute nothing.
+    off-support columns for each; _dual_screen passes c <= max(1,
+    _CERT_ENTRIES // (m + 1)^2) supports, so that the (c, m + 1, m + 1)
+    inverses stay within _CERT_ENTRIES entries.  reach is sqrt(n /
+    lambda_min(A A')), or inf on linearly dependent rows, where the
+    rounds refute nothing.
     Each support holds the inverse of its bordered matrix K = [[A_S, -A_J],
     [0, sigma']]: one batched inverse of K bordered with ones, then a
     Sherman-Morrison rank-one update for the switch to sigma and one per
@@ -485,22 +493,29 @@ def _dual_screen(a, supports):
     no batch holds it: basis pursuit leaves that entry at 0.  Other
     supports whose A_S' A_S has an eigenvalue ratio below
     _CERT_MIN_EIG_RATIO (repeated columns, k > m) stay undecided.
-    supports is an int array of shape (t, k); the supports without a
-    zero column are screened in batches of min(_CERT_CHUNK,
-    max(1, _CERT_ENTRIES // m^2)) supports.  Each Lawson step sums M
-    over blocks of max(1, _CERT_ENTRIES // m^2) columns, a
-    (batch, block) @ (block, m^2) product with that block's table of the
-    outer products a_l a_l', built inside the step; so neither a table
-    block nor a batch's M holds more than max(_CERT_ENTRIES, m^2)
-    entries, and when the whole table fits in one block (at most 32 rows
-    and n <= 256, for one) M comes from a single product.
+    supports is an int array of shape (t, k).  Each phase is batched by
+    the matrices it holds, at most _CERT_CHUNK supports and otherwise
+    max(1, _CERT_ENTRIES // s) for matrices of s entries each.  The
+    Fuchs point holds k x m and k x k ones, so it takes every support
+    without a zero column in batches of s = k m (327 supports on 400
+    rows at k = 2), and forms A_S' A_S once for both the eigenvalue test
+    and its solve.  The supports a Fuchs batch leaves, with their
+    |a_l' w| as the first Lawson weights, get the Lawson steps in slices
+    of s = m^2.  Each step sums M over blocks of max(1, _CERT_ENTRIES //
+    m^2) columns, a (batch, block) @ (block, m^2) product with that
+    block's table of the outer products a_l a_l', built inside the step;
+    so neither a table block nor a batch's M holds more than
+    max(_CERT_ENTRIES, m^2) entries, and when the whole table fits in
+    one block (at most 32 rows and n <= 256, for one) M comes from a
+    single product.
 
     The supports still undecided after the last Lawson step are pooled
     from every batch, and up to _EXCHANGE_ROUNDS exchange rounds run on
-    the pool, in batches of the same size; that many rounds only guard
-    against cycling, since the rounds decide nearly every support they
-    get.  L is a discrete Chebyshev problem, and the rounds are its Stiefel
-    exchange (Cheney, Introduction to Approximation Theory, 1966).  Each
+    the pool, in batches of s = (m + 1)^2, the entries of each support's
+    bordered inverse; that many rounds only guard against cycling, since
+    the rounds decide nearly every support they get.  L is a discrete
+    Chebyshev problem, and the rounds are its Stiefel exchange (Cheney,
+    Introduction to Approximation Theory, 1966).  Each
     support keeps a reference set J of p = m - k + 1 off-support columns,
     at first those with the largest |a_l' w| at the last Lawson w, and the
     inverse of the bordered matrix K = [[A_S, -A_J], [0, sigma']] with
@@ -532,66 +547,73 @@ def _dual_screen(a, supports):
     independent = eig_aa[0] > _CERT_MIN_EIG_RATIO * eig_aa[-1]
     delta = _CERT_MARGIN * max(eig_aa[0], _CERT_MIN_EIG_RATIO * eig_aa[-1]) / n
     ridge = delta * np.eye(m)
-    # columns per block of the outer-product table and supports per batch, so
-    # that a block and a batch's M each hold at most _CERT_ENTRIES entries
+    # supports per batch of each pass and columns per block of the outer-product
+    # table, so that no array of the k x m, m x m or (m + 1) x (m + 1) matrices
+    # a pass holds has more than _CERT_ENTRIES entries
     block = max(1, _CERT_ENTRIES // (m * m))
-    batch = min(_CERT_CHUNK, block)
+    fuchs, lawson, exchange = (min(_CERT_CHUNK, max(1, _CERT_ENTRIES // size))
+                               for size in (k * m, m * m, (m + 1) ** 2))
     pool = []  # (positions, supports, sigma_min(A_S), reference sets) the Lawson steps left
     p = m - k + 1
-    for lo in range(0, len(rest), batch):
-        live = rest[lo:lo + batch]
+    for lo in range(0, len(rest), fuchs):
+        live = rest[lo:lo + fuchs]
         sup = supports[live]
         a_s = cols[sup]  # (c, k, m)
-        eig = np.linalg.eigvalsh(a_s @ a_s.transpose(0, 2, 1))
+        gram = a_s @ a_s.transpose(0, 2, 1)
+        eig = np.linalg.eigvalsh(gram)
         solvable = eig[:, 0] > _CERT_MIN_EIG_RATIO * eig[:, -1]
-        live, sup, a_s = live[solvable], sup[solvable], a_s[solvable]
+        live, sup, a_s, gram = live[solvable], sup[solvable], a_s[solvable], gram[solvable]
         root = np.sqrt(eig[solvable, 0])
-        x, mat = a_s.transpose(0, 2, 1), None  # iterate 0: M = I
-        for step in range(_CERT_ITERS + 1):
-            lam = np.linalg.solve(a_s @ x, np.ones((len(live), k, 1)))
-            w = (x @ lam)[:, :, 0]
-            lam = lam[:, :, 0]
-            corr, sure = _certify(w, a, sup, root)
-            if mat is None:
-                wrong = np.zeros_like(sure)
-                weights = corr  # the first Lawson weights follow the Fuchs point
-            else:
+        # iterate 0, the Fuchs point: M = I
+        w = (a_s.transpose(0, 2, 1) @ np.linalg.solve(gram, np.ones((len(live), k, 1))))[:, :, 0]
+        corr, sure = _certify(w, a, sup, root)
+        verdict[live[sure]] = 1
+        # the supports left and their |a_l' w|, the first Lawson weights; the
+        # batch's full correlations are freed before the Lawson steps run
+        left = [v[~sure] for v in (live, sup, a_s, root, corr)]
+        del corr
+        for at in range(0, len(left[0]), lawson):
+            live, sup, a_s, root, corr = (v[at:at + lawson] for v in left)
+            weights, keep = corr, np.ones(len(live), dtype=bool)  # all live at the Fuchs point
+            for _ in range(_CERT_ITERS):
+                weights /= weights.sum(axis=1, keepdims=True)
+                # M = delta I + sum over blocks B of weights[:, B] @ (a_l a_l', l in B)
+                mat = ridge
+                for j in range(0, n, block):
+                    part = cols[j:j + block]
+                    outer = (part[:, :, None] * part[:, None, :]).reshape(len(part), m * m)
+                    term = (weights[:, j:j + block] @ outer).reshape(-1, m, m)
+                    term += mat
+                    mat = term
+                x = np.linalg.solve(mat, a_s.transpose(0, 2, 1))
+                lam = np.linalg.solve(a_s @ x, np.ones((len(live), k, 1)))
+                w = (x @ lam)[:, :, 0]
+                lam = lam[:, :, 0]
+                corr, sure = _certify(w, a, sup, root)
                 # A diag(omega) A' w; its dot with w is sum omega_l (a_l' w)^2
                 mw = (mat @ w[:, :, None])[:, :, 0] - delta * w
                 r = mw - (a_s * lam[:, :, None]).sum(axis=1)
                 bound = 2.0 * lam.sum(axis=1) - (w * mw).sum(axis=1) - (r * r).sum(axis=1) / delta
                 wrong = ~sure & independent & (bound > (1.0 + _CERT_MARGIN) ** 2)
+                verdict[live[sure]] = 1
+                verdict[live[wrong]] = -1
+                keep = ~(sure | wrong)
+                if not keep.any():
+                    break
                 weights *= corr
-            verdict[live[sure]] = 1
-            verdict[live[wrong]] = -1
-            keep = ~(sure | wrong)
-            if not keep.any():
-                break
-            live, sup, a_s, root = live[keep], sup[keep], a_s[keep], root[keep]
-            if step == _CERT_ITERS:
+                live, sup, a_s, root, weights = (v[keep] for v in (live, sup, a_s, root, weights))
+            else:
                 if p <= n - k:
                     # the reference sets: the p largest |a_l' w| off the support,
                     # copied so that the pool holds p columns of indices, not n
                     corr = corr[keep]
                     corr[np.arange(len(live))[:, None], sup] = -1.0
                     pool.append((live, sup, root, np.argpartition(corr, n - p)[:, n - p:].copy()))
-                break
-            weights = weights[keep]
-            weights /= weights.sum(axis=1, keepdims=True)
-            # M = delta I + sum over blocks B of weights[:, B] @ (a_l a_l', l in B)
-            mat = ridge
-            for j in range(0, n, block):
-                part = cols[j:j + block]
-                outer = (part[:, :, None] * part[:, None, :]).reshape(len(part), m * m)
-                term = (weights[:, j:j + block] @ outer).reshape(-1, m, m)
-                term += mat
-                mat = term
-            x = np.linalg.solve(mat, a_s.transpose(0, 2, 1))
     if pool:
         at, sup, root, ref = (np.concatenate(part) for part in zip(*pool))
         reach = math.sqrt(n / eig_aa[0]) if independent else math.inf
-        for lo in range(0, len(at), batch):
-            part = slice(lo, lo + batch)
+        for lo in range(0, len(at), exchange):
+            part = slice(lo, lo + exchange)
             verdict[at[part]] = _exchange(a, sup[part], root[part], ref[part], reach)
     return verdict
 
@@ -601,7 +623,8 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
 
     cfg (a BpConfig) picks the supports, run in lexicographic order (see
     _supports).  For each support, plants x with ones on the support,
-    measures y = A @ x through the column-normalized submatrix A, and
+    measures y = A @ x through the column-normalized submatrix A (scaled
+    to unit RMS first, see the module docstring), and
     counts the trial as exact when basis pursuit reproduces x to within
     _EXACT_TOL (1e-4) in every entry.  The dual screen (see _dual_screen)
     decides most supports without an LP: a certified one is exact, with
@@ -635,7 +658,7 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
     if whole is None or not 1 <= whole < n:
         raise ValueError(f"sparsity k={k!r} must be an integer in [1, {n})")
     k = whole
-    a = _unit_columns(phi[idx])
+    a = _unit_columns(_unit_rms_scale(phi[idx]))
     supports, sampled = _supports(n, k, cfg)
     verdicts = _dual_screen(a, supports)
     # the screen's verdicts in bulk, and the LP trials fill in their own

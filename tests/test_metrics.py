@@ -1,6 +1,7 @@
 """Matrix quality metrics against hand values and brute-force loops."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from insense import (
     InfeasibleConstraintError,
     InvalidSubsetError,
     condition_number,
+    evaluate_recovery,
     extract_submatrix,
     frame_potential,
     metric_report,
@@ -186,3 +188,37 @@ def test_matrix_validation_errors():
         as_sensing_matrix(np.ones((3, 1)))
     with pytest.raises(ValueError):
         as_sensing_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def test_metrics_and_sweeps_do_not_depend_on_the_scale():
+    # rows 0-9 of a gaussian 60 x 40 at k = 2: unless the matrix is brought
+    # to unit RMS first, the column norms overflow from 1e154 (every column
+    # becomes 0) and underflow below 1e-160, and the frame potential
+    # overflows with a warning from 1e150
+    phi = np.random.default_rng(0).standard_normal((60, 40))[:10]
+    report = metric_report(phi)
+    sweep = evaluate_recovery(phi, np.arange(10), 2, keep_trials=True)
+    assert round(report.mu_avg, 5) == 0.31882 and round(sweep.accuracy_percent, 2) == 93.21
+    counts = (sweep.exact_count, sweep.certified, sweep.refuted, sweep.simplex_iterations)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for exponent in (-200, -170, -160, -100, -1, 1, 100, 150, 153, 154, 160, 200):
+            scale = 10.0**exponent
+            got = metric_report(phi * scale)
+            assert got.mu_avg == pytest.approx(report.mu_avg, rel=1e-12)
+            assert got.mu_max == pytest.approx(report.mu_max, rel=1e-12)
+            assert got.condition_number == pytest.approx(report.condition_number, rel=1e-9)
+            # 0 below the float range and inf above it
+            fp = report.frame_potential * scale * scale * scale * scale
+            assert got.frame_potential == pytest.approx(fp, rel=1e-12)
+            again = evaluate_recovery(phi * scale, np.arange(10), 2)
+            assert (again.exact_count, again.certified, again.refuted,
+                    again.simplex_iterations) == counts
+        # a power of two changes no bit
+        for exponent in (-600, -101, 100, 600):
+            scaled = np.ldexp(phi, exponent)
+            got = metric_report(scaled)
+            assert (got.mu_avg, got.mu_max) == (report.mu_avg, report.mu_max)
+            assert evaluate_recovery(scaled, np.arange(10), 2, keep_trials=True) == sweep
+            if abs(exponent) < 200:
+                assert got.frame_potential == math.ldexp(report.frame_potential, 4 * exponent)

@@ -550,6 +550,43 @@ def test_screen_memory_past_32_rows_follows_the_entry_budget(monkeypatch):
     np.testing.assert_array_equal(verdicts[decided], fuchs[decided])
 
 
+def test_fuchs_point_is_batched_by_its_own_arrays(monkeypatch):
+    # the Fuchs point holds k x m matrices, not m x m ones: on all 400 rows a
+    # batch by the m x m budget would hold a single support
+    phi = np.random.default_rng(800).standard_normal((400, 400))
+    sizes = []
+    certify = recovery._certify
+
+    def counted(w, *args):
+        sizes.append(len(w))
+        return certify(w, *args)
+
+    monkeypatch.setattr(recovery, "_certify", counted)
+    report = evaluate_recovery(phi, np.arange(400), 2, BpConfig(sample_cap=2000))
+    assert sizes[0] == min(recovery._CERT_CHUNK, recovery._CERT_ENTRIES // (2 * 400)) == 327
+    assert report.certified == report.total_trials == 2000
+
+
+def test_exchange_batches_follow_the_entry_budget(monkeypatch):
+    # each support in an exchange batch holds an (m + 1) x (m + 1) inverse;
+    # on all 40 rows 248 supports reach the rounds, more than one batch takes
+    a = _gaussian_40x80()
+    m = a.shape[0]
+    supports = _supports(80, 10, BpConfig(sample_cap=2000))[0]
+    sizes = []
+    exchange = recovery._exchange
+
+    def counted(a, sup, *args):
+        sizes.append(len(sup))
+        return exchange(a, sup, *args)
+
+    monkeypatch.setattr(recovery, "_exchange", counted)
+    recovery._dual_screen(a, supports)
+    assert len(sizes) > 1 and sum(sizes) == 248
+    assert all(len_sup * (m + 1) ** 2 <= recovery._CERT_ENTRIES or len_sup == 1
+               for len_sup in sizes)
+
+
 # (matrix, k, cfg, most supports of one verdict checked: past that many, a
 # seeded sample of them)
 _ORACLE_SWEEPS = [
