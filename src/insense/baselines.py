@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .exceptions import ExhaustiveLimitError
-from .metrics import as_sensing_matrix, mu_avg, validate_budget
+from .metrics import _coherence_values, _rms, _unit_rms, as_sensing_matrix, validate_budget
 from .seeding import seeded_rng
 
 EXHAUSTIVE_LIMIT = 1_000_000  # cap on the subsets one exhaustive search visits
@@ -57,7 +57,7 @@ def select_exhaustive_mu_avg(phi, m):
     the lexicographically first subset.  Refuses instances whose subset
     count exceeds EXHAUSTIVE_LIMIT.
     """
-    phi = as_sensing_matrix(phi)
+    phi = _unit_rms(as_sensing_matrix(phi))[0]  # so that each subset is scored as it is
     d = phi.shape[0]
     m = validate_budget(m, d)
     total = math.comb(d, m)
@@ -68,7 +68,7 @@ def select_exhaustive_mu_avg(phi, m):
     best_subset = None
     best_val = math.inf
     for combo in itertools.combinations(range(d), m):
-        val = mu_avg(phi[list(combo)])
+        val = _rms(_coherence_values(phi[list(combo)]))
         key = math.inf if val is None else val
         if best_subset is None or key < best_val:
             best_subset, best_val = combo, key

@@ -115,38 +115,36 @@ def _pair_positions(n):
     return flat
 
 
-def _rms_exponent(phi):
-    """The even e that puts the RMS entry of phi / 2^e in [0.5, 2); 0 for a zero phi."""
-    peak = np.max(np.abs(phi))
-    if peak == 0.0:
-        return 0
-    rms = peak * np.sqrt(np.mean((phi / peak) ** 2))
-    return 2 * (int(np.frexp(rms)[1]) // 2)
-
-
-def _unit_rms_scale(phi):
-    """phi times the power of four that puts its RMS entry in [0.5, 2).
+def _unit_rms(phi):
+    """phi / 2^e and e, for the even e that puts the RMS entry of phi / 2^e in [0.5, 2).
 
     Scaling by a power of two is exact, so a quantity that does not depend
     on the scale of phi comes out the same, bit for bit, from the scaled
     matrix, and far from 1 it no longer overflows or underflows on the way:
-    the coherences, the recovery sweep, and the descent, whose smoothing
-    constants eps1/eps2 are absolute.  A matrix already in the band is
-    returned unchanged.
+    the coherences and the descent, whose smoothing constants eps1/eps2 are
+    absolute.  phi itself comes back, uncopied, when e = 0 (a zero phi
+    included).
     """
-    exponent = _rms_exponent(phi)
-    return np.ldexp(phi, -exponent) if exponent else phi
+    peak = np.max(np.abs(phi))
+    if peak == 0.0:
+        return phi, 0
+    rms = peak * np.sqrt(np.mean((phi / peak) ** 2))
+    exponent = 2 * (int(np.frexp(rms)[1]) // 2)
+    return (np.ldexp(phi, -exponent) if exponent else phi), exponent
 
 
-def _coherence_values(phi):
-    """Upper-triangle column coherences as a flat array, or None if undefined."""
-    phi = _unit_rms_scale(phi)
-    norms = np.linalg.norm(phi, axis=0)
+def _coherence_values(unit):
+    """Upper-triangle column coherences as a flat array, or None if undefined.
+
+    unit is at unit RMS (see _unit_rms), so that no column norm leaves the
+    float range; the exhaustive baseline passes row subsets of such a matrix.
+    """
+    norms = np.linalg.norm(unit, axis=0)
     if np.any(norms <= ZERO_RTOL * norms.max()):
         return None
-    unit = phi / norms
+    unit = unit / norms
     gram = unit.T @ unit
-    c = gram.take(_pair_positions(phi.shape[1]))
+    c = gram.take(_pair_positions(unit.shape[1]))
     np.abs(c, out=c)
     return np.minimum(c, 1.0, out=c)
 
@@ -161,28 +159,33 @@ def _largest(c):
 
 def mu_avg(phi):
     """Root-mean-square coherence over all column pairs, or None if any column is zero."""
-    return _rms(_coherence_values(as_sensing_matrix(phi)))
+    return _rms(_coherence_values(_unit_rms(as_sensing_matrix(phi))[0]))
 
 
 def mu_max(phi):
     """Largest pairwise column coherence, or None if any column is zero."""
-    return _largest(_coherence_values(as_sensing_matrix(phi)))
+    return _largest(_coherence_values(_unit_rms(as_sensing_matrix(phi))[0]))
+
+
+def _potential(unit, exponent):
+    """Frame potential of unit * 2^exponent, for unit at unit RMS (see _unit_rms).
+
+    Summed at unit RMS and scaled back exactly, so a potential past the
+    float range is inf, without an overflow warning.
+    """
+    if unit.shape[0] < 2:
+        return 0.0
+    r = unit @ unit.T
+    with np.errstate(over="ignore"):
+        return float(np.ldexp((np.sum(r * r) - np.sum(np.diag(r) ** 2)) / 2.0, 4 * exponent))
 
 
 def frame_potential(phi):
     """Sum of squared inner products over distinct row pairs (0 for one row).
 
-    Summed at the unit-RMS scale and scaled back exactly, so a potential
-    past the float range is inf, without an overflow warning.
+    inf past the float range, without an overflow warning (see _potential).
     """
-    phi = as_sensing_matrix(phi)
-    if phi.shape[0] < 2:
-        return 0.0
-    exponent = _rms_exponent(phi)
-    r = np.ldexp(phi, -exponent)
-    r = r @ r.T
-    with np.errstate(over="ignore"):
-        return float(np.ldexp((np.sum(r * r) - np.sum(np.diag(r) ** 2)) / 2.0, 4 * exponent))
+    return _potential(*_unit_rms(as_sensing_matrix(phi)))
 
 
 def condition_number(phi):
@@ -207,10 +210,11 @@ class MetricReport:
 def metric_report(phi):
     """All four quality metrics of `phi` in one report."""
     phi = as_sensing_matrix(phi)
-    coherences = _coherence_values(phi)  # one Gram for both coherence metrics
+    unit, exponent = _unit_rms(phi)
+    coherences = _coherence_values(unit)  # one Gram for both coherence metrics
     return MetricReport(
         mu_avg=_rms(coherences),
         mu_max=_largest(coherences),
-        frame_potential=frame_potential(phi),
+        frame_potential=_potential(unit, exponent),
         condition_number=condition_number(phi),
     )

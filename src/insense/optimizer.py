@@ -44,7 +44,7 @@ import numpy as np
 from dataclasses import dataclass, field, replace
 
 from .exceptions import NumericalFailureError
-from .metrics import _unit_rms_scale, as_integer, as_sensing_matrix, mu_avg, validate_budget
+from .metrics import _unit_rms, as_integer, as_sensing_matrix, mu_avg, validate_budget
 from .projection import project_sbs
 from .seeding import seeded_rng
 
@@ -442,7 +442,7 @@ def run_insense(phi, m, cfg=None, callback=None):
     objective wins.
     """
     cfg = cfg or InsenseConfig()
-    phi = _unit_rms_scale(as_sensing_matrix(phi))
+    phi = _unit_rms(as_sensing_matrix(phi))[0]
     m = validate_budget(m, phi.shape[0])
     work = _StepWork(*phi.shape)
     best = None

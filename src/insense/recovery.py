@@ -27,7 +27,8 @@ matrix takes this one path; dependent rows (a repeated row, more rows
 than columns) only lose the refutations.  However many rows a sweep
 has, each phase is batched by the matrices it holds (k x m, m x m or
 (m + 1) x (m + 1)), so that no array of them has more than
-_CERT_ENTRIES entries.  The undecided trials share the constraint
+_CERT_ENTRIES entries; the Fuchs point's rows of n correlations are
+held to that budget too.  The undecided trials share the constraint
 matrix and only the measurement changes, so the first of them
 builds one HiGHS model, and the sweep re-solves it with new row bounds
 per trial, in support order: each solve is a dual simplex run without
@@ -35,10 +36,10 @@ presolve, warm-started from the basis the previous LP trial ended in,
 and _SIMPLEX_ITERATION_LIMIT caps the simplex iterations of each such
 run.  A sweep the screen decides in full builds no model.
 
-The sweep sees the selected submatrix scaled by the power of four that
-puts its RMS entry in [0.5, 2) (see metrics._unit_rms_scale; exact, so
-that no column norm overflows or underflows at any scale of phi), then
-with its columns scaled to unit l2 norm.  Column coherence, the
+The sweep sees the selected submatrix with its columns scaled to unit
+l2 norm, each after an exact power-of-two scaling of its own (see
+_unit_columns), so that no column norm overflows or underflows at any
+scale of phi or of a single column.  Column coherence, the
 quantity the selectors optimize, only constrains column directions;
 without the rescaling, per-column gain differences leak into the
 planted amplitudes and the sweep stops measuring the property the
@@ -59,8 +60,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .exceptions import SolverFailureError
-from .metrics import (_unit_rms_scale, as_integer, as_sensing_matrix, as_whole_number,
-                      validate_subset)
+from .metrics import as_integer, as_sensing_matrix, as_whole_number, validate_subset
 from .seeding import seeded_rng
 
 # dual screen of a sweep: the most supports per batched solve, the least
@@ -274,7 +274,14 @@ def solve_bp(phi_sub, y):
 
 
 def _unit_columns(a):
-    """Columns scaled to unit l2 norm; all-zero columns pass through."""
+    """Columns scaled to unit l2 norm; all-zero columns pass through.
+
+    Each column is first scaled by the power of two that puts its largest
+    entry in [0.5, 1).  That is exact, so no norm overflows or underflows
+    at any scale of the column, and a column whose squares stay in float
+    range comes out bit for bit as a / |a|.
+    """
+    a = np.ldexp(a, -np.frexp(np.max(np.abs(a), axis=0))[1])
     norms = np.linalg.norm(a, axis=0)
     return a / np.where(norms > 0.0, norms, 1.0)
 
@@ -496,13 +503,16 @@ def _dual_screen(a, supports):
     supports is an int array of shape (t, k).  Each phase is batched by
     the matrices it holds, at most _CERT_CHUNK supports and otherwise
     max(1, _CERT_ENTRIES // s) for matrices of s entries each.  The
-    Fuchs point holds k x m and k x k ones, so it takes every support
-    without a zero column in batches of s = k m (327 supports on 400
-    rows at k = 2), and forms A_S' A_S once for both the eigenvalue test
-    and its solve.  The supports a Fuchs batch leaves, with their
-    |a_l' w| as the first Lawson weights, get the Lawson steps in slices
-    of s = m^2.  Each step sums M over blocks of max(1, _CERT_ENTRIES //
-    m^2) columns, a (batch, block) @ (block, m^2) product with that
+    Fuchs point holds k x m and k x k ones and a row of n values
+    |a_l' w|, so it takes every support without a zero column in
+    batches of s = max(k m, n) (327 supports on 400 rows at k = 2), and
+    forms A_S' A_S once for both the eigenvalue test and its solve.  The
+    supports it leaves are pooled from every batch with their
+    (A_S' A_S)^-1 1, and take the Lawson steps in batches of s = m^2,
+    from the Fuchs point's |a_l' w| as first weights (a Lawson batch's
+    weights hold up to _CERT_CHUNK x n entries).  Each step sums M over
+    blocks of max(1, _CERT_ENTRIES // m^2) columns, a (batch, block) @
+    (block, m^2) product with that
     block's table of the outer products a_l a_l', built inside the step;
     so neither a table block nor a batch's M holds more than
     max(_CERT_ENTRIES, m^2) entries, and when the whole table fits in
@@ -535,12 +545,11 @@ def _dual_screen(a, supports):
     inequalities that hold for whatever (lam, mu) or w was computed.  The
     rounds are skipped when p > n - k.
     """
-    t, k = supports.shape
+    k = supports.shape[1]
     m, n = a.shape
     cols = a.T
     dead = (~a.any(axis=0))[supports].any(axis=1)
-    verdict = np.zeros(t, dtype=np.int8)
-    verdict[dead] = -1
+    verdict = -dead.astype(np.int8)
     rest = np.flatnonzero(~dead)
     eig_aa = np.linalg.eigvalsh(a @ a.T)
     # only the refutations need independent rows; the ridge has a floor
@@ -549,12 +558,13 @@ def _dual_screen(a, supports):
     ridge = delta * np.eye(m)
     # supports per batch of each pass and columns per block of the outer-product
     # table, so that no array of the k x m, m x m or (m + 1) x (m + 1) matrices
-    # a pass holds has more than _CERT_ENTRIES entries
+    # a pass holds has more than _CERT_ENTRIES entries, nor the Fuchs point's
+    # |a_l' w| (a Lawson batch's weights hold up to _CERT_CHUNK x n)
     block = max(1, _CERT_ENTRIES // (m * m))
     fuchs, lawson, exchange = (min(_CERT_CHUNK, max(1, _CERT_ENTRIES // size))
-                               for size in (k * m, m * m, (m + 1) ** 2))
-    pool = []  # (positions, supports, sigma_min(A_S), reference sets) the Lawson steps left
-    p = m - k + 1
+                               for size in (max(k * m, n), m * m, (m + 1) ** 2))
+    # (positions, supports, sigma_min(A_S), (A_S' A_S)^-1 1) the Fuchs point left
+    left = [(rest[:0], supports[:0], np.empty(0), np.empty((0, k, 1)))]
     for lo in range(0, len(rest), fuchs):
         live = rest[lo:lo + fuchs]
         sup = supports[live]
@@ -564,51 +574,54 @@ def _dual_screen(a, supports):
         solvable = eig[:, 0] > _CERT_MIN_EIG_RATIO * eig[:, -1]
         live, sup, a_s, gram = live[solvable], sup[solvable], a_s[solvable], gram[solvable]
         root = np.sqrt(eig[solvable, 0])
-        # iterate 0, the Fuchs point: M = I
-        w = (a_s.transpose(0, 2, 1) @ np.linalg.solve(gram, np.ones((len(live), k, 1))))[:, :, 0]
-        corr, sure = _certify(w, a, sup, root)
+        # iterate 0, the Fuchs point w = A_S lam: M = I
+        lam = np.linalg.solve(gram, np.ones((len(live), k, 1)))
+        sure = _certify((a_s.transpose(0, 2, 1) @ lam)[:, :, 0], a, sup, root)[1]
         verdict[live[sure]] = 1
-        # the supports left and their |a_l' w|, the first Lawson weights; the
-        # batch's full correlations are freed before the Lawson steps run
-        left = [v[~sure] for v in (live, sup, a_s, root, corr)]
-        del corr
-        for at in range(0, len(left[0]), lawson):
-            live, sup, a_s, root, corr = (v[at:at + lawson] for v in left)
-            weights, keep = corr, np.ones(len(live), dtype=bool)  # all live at the Fuchs point
-            for _ in range(_CERT_ITERS):
-                weights /= weights.sum(axis=1, keepdims=True)
-                # M = delta I + sum over blocks B of weights[:, B] @ (a_l a_l', l in B)
-                mat = ridge
-                for j in range(0, n, block):
-                    part = cols[j:j + block]
-                    outer = (part[:, :, None] * part[:, None, :]).reshape(len(part), m * m)
-                    term = (weights[:, j:j + block] @ outer).reshape(-1, m, m)
-                    term += mat
-                    mat = term
-                x = np.linalg.solve(mat, a_s.transpose(0, 2, 1))
-                lam = np.linalg.solve(a_s @ x, np.ones((len(live), k, 1)))
-                w = (x @ lam)[:, :, 0]
-                lam = lam[:, :, 0]
-                corr, sure = _certify(w, a, sup, root)
-                # A diag(omega) A' w; its dot with w is sum omega_l (a_l' w)^2
-                mw = (mat @ w[:, :, None])[:, :, 0] - delta * w
-                r = mw - (a_s * lam[:, :, None]).sum(axis=1)
-                bound = 2.0 * lam.sum(axis=1) - (w * mw).sum(axis=1) - (r * r).sum(axis=1) / delta
-                wrong = ~sure & independent & (bound > (1.0 + _CERT_MARGIN) ** 2)
-                verdict[live[sure]] = 1
-                verdict[live[wrong]] = -1
-                keep = ~(sure | wrong)
-                if not keep.any():
-                    break
-                weights *= corr
-                live, sup, a_s, root, weights = (v[keep] for v in (live, sup, a_s, root, weights))
-            else:
-                if p <= n - k:
-                    # the reference sets: the p largest |a_l' w| off the support,
-                    # copied so that the pool holds p columns of indices, not n
-                    corr = corr[keep]
-                    corr[np.arange(len(live))[:, None], sup] = -1.0
-                    pool.append((live, sup, root, np.argpartition(corr, n - p)[:, n - p:].copy()))
+        left.append([v[~sure] for v in (live, sup, root, lam)])
+    pool = []  # (positions, supports, sigma_min(A_S), reference sets) the Lawson steps left
+    p = m - k + 1
+    left = [np.concatenate(v) for v in zip(*left)]
+    for lo in range(0, len(left[0]), lawson):
+        live, sup, root, lam = (v[lo:lo + lawson] for v in left)
+        a_s = cols[sup]
+        # the Fuchs point's |a_l' w|, recomputed from its pooled lam, are the first weights
+        corr = weights = _certify((a_s.transpose(0, 2, 1) @ lam)[:, :, 0], a, sup, root)[0]
+        keep = np.ones(len(live), dtype=bool)
+        for _ in range(_CERT_ITERS):
+            weights /= weights.sum(axis=1, keepdims=True)
+            # M = delta I + sum over blocks B of weights[:, B] @ (a_l a_l', l in B)
+            mat = ridge
+            for j in range(0, n, block):
+                part = cols[j:j + block]
+                outer = (part[:, :, None] * part[:, None, :]).reshape(len(part), m * m)
+                term = (weights[:, j:j + block] @ outer).reshape(-1, m, m)
+                term += mat
+                mat = term
+            x = np.linalg.solve(mat, a_s.transpose(0, 2, 1))
+            lam = np.linalg.solve(a_s @ x, np.ones((len(live), k, 1)))
+            w = (x @ lam)[:, :, 0]
+            lam = lam[:, :, 0]
+            corr, sure = _certify(w, a, sup, root)
+            # A diag(omega) A' w; its dot with w is sum omega_l (a_l' w)^2
+            mw = (mat @ w[:, :, None])[:, :, 0] - delta * w
+            r = mw - (a_s * lam[:, :, None]).sum(axis=1)
+            bound = 2.0 * lam.sum(axis=1) - (w * mw).sum(axis=1) - (r * r).sum(axis=1) / delta
+            wrong = ~sure & independent & (bound > (1.0 + _CERT_MARGIN) ** 2)
+            verdict[live[sure]] = 1
+            verdict[live[wrong]] = -1
+            keep = ~(sure | wrong)
+            if not keep.any():
+                break
+            weights *= corr
+            live, sup, a_s, root, weights = (v[keep] for v in (live, sup, a_s, root, weights))
+        else:
+            if p <= n - k:
+                # the reference sets: the p largest |a_l' w| off the support,
+                # copied so that the pool holds p columns of indices, not n
+                corr = corr[keep]
+                corr[np.arange(len(live))[:, None], sup] = -1.0
+                pool.append((live, sup, root, np.argpartition(corr, n - p)[:, n - p:].copy()))
     if pool:
         at, sup, root, ref = (np.concatenate(part) for part in zip(*pool))
         reach = math.sqrt(n / eig_aa[0]) if independent else math.inf
@@ -623,8 +636,8 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
 
     cfg (a BpConfig) picks the supports, run in lexicographic order (see
     _supports).  For each support, plants x with ones on the support,
-    measures y = A @ x through the column-normalized submatrix A (scaled
-    to unit RMS first, see the module docstring), and
+    measures y = A @ x through the column-normalized submatrix A (see
+    the module docstring), and
     counts the trial as exact when basis pursuit reproduces x to within
     _EXACT_TOL (1e-4) in every entry.  The dual screen (see _dual_screen)
     decides most supports without an LP: a certified one is exact, with
@@ -658,7 +671,7 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
     if whole is None or not 1 <= whole < n:
         raise ValueError(f"sparsity k={k!r} must be an integer in [1, {n})")
     k = whole
-    a = _unit_columns(_unit_rms_scale(phi[idx]))
+    a = _unit_columns(phi[idx])
     supports, sampled = _supports(n, k, cfg)
     verdicts = _dual_screen(a, supports)
     # the screen's verdicts in bulk, and the LP trials fill in their own
@@ -686,12 +699,11 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
     if keep_trials:
         trials = list(map(TrialOutcome, map(tuple, supports.tolist()), recovered.tolist(),
                           residual.tolist(), err.tolist()))
-    total = len(supports)
     exact = int(np.count_nonzero(recovered))
     return RecoveryReport(
-        total_trials=total,
+        total_trials=len(supports),
         exact_count=exact,
-        accuracy_percent=100.0 * exact / total,
+        accuracy_percent=100.0 * exact / len(supports),
         sampled=sampled,
         certified=int(np.count_nonzero(verdicts > 0)),
         refuted=int(np.count_nonzero(verdicts < 0)),

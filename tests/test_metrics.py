@@ -191,10 +191,11 @@ def test_matrix_validation_errors():
 
 
 def test_metrics_and_sweeps_do_not_depend_on_the_scale():
-    # rows 0-9 of a gaussian 60 x 40 at k = 2: unless the matrix is brought
-    # to unit RMS first, the column norms overflow from 1e154 (every column
-    # becomes 0) and underflow below 1e-160, and the frame potential
-    # overflows with a warning from 1e150
+    # rows 0-9 of a gaussian 60 x 40 at k = 2: unless the metrics see the
+    # matrix at unit RMS, and the sweep each column at a unit largest entry,
+    # the column norms overflow from 1e154 (every column becomes 0) and
+    # underflow below 1e-160, and the frame potential overflows with a
+    # warning from 1e150
     phi = np.random.default_rng(0).standard_normal((60, 40))[:10]
     report = metric_report(phi)
     sweep = evaluate_recovery(phi, np.arange(10), 2, keep_trials=True)
@@ -222,3 +223,7 @@ def test_metrics_and_sweeps_do_not_depend_on_the_scale():
             assert evaluate_recovery(scaled, np.arange(10), 2, keep_trials=True) == sweep
             if abs(exponent) < 200:
                 assert got.frame_potential == math.ldexp(report.frame_potential, 4 * exponent)
+        # column gains from 2^300 down to 2^-675, whose squares underflow at any
+        # one scale of the whole matrix, change no bit of the sweep either
+        gained = np.ldexp(phi, 300 - 25 * np.arange(40))
+        assert evaluate_recovery(gained, np.arange(10), 2, keep_trials=True) == sweep

@@ -551,8 +551,9 @@ def test_screen_memory_past_32_rows_follows_the_entry_budget(monkeypatch):
 
 
 def test_fuchs_point_is_batched_by_its_own_arrays(monkeypatch):
-    # the Fuchs point holds k x m matrices, not m x m ones: on all 400 rows a
-    # batch by the m x m budget would hold a single support
+    # the Fuchs point holds k x m matrices and n-entry rows of |a_l' w|, not
+    # m x m matrices: on all 400 rows a batch by the m x m budget would hold
+    # a single support
     phi = np.random.default_rng(800).standard_normal((400, 400))
     sizes = []
     certify = recovery._certify
@@ -563,8 +564,23 @@ def test_fuchs_point_is_batched_by_its_own_arrays(monkeypatch):
 
     monkeypatch.setattr(recovery, "_certify", counted)
     report = evaluate_recovery(phi, np.arange(400), 2, BpConfig(sample_cap=2000))
-    assert sizes[0] == min(recovery._CERT_CHUNK, recovery._CERT_ENTRIES // (2 * 400)) == 327
+    assert sizes[0] == min(recovery._CERT_CHUNK, recovery._CERT_ENTRIES // max(2 * 400, 400)) == 327
     assert report.certified == report.total_trials == 2000
+
+
+def test_fuchs_batch_keeps_its_correlations_within_the_entry_budget():
+    # each support of a Fuchs batch holds its n = 4000 values |a_l' w|: a batch
+    # sized by the k x m matrices alone would take 512 supports, a 16 MB array
+    a = recovery._unit_columns(np.random.default_rng(3).standard_normal((64, 4000)))
+    supports = _supports(4000, 2, BpConfig(sample_cap=600))[0]
+    tracemalloc.start()
+    try:
+        verdicts = recovery._dual_screen(a, supports)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (verdicts == 1).all()
+    assert peak < 3 * 8 * recovery._CERT_ENTRIES
 
 
 def test_exchange_batches_follow_the_entry_budget(monkeypatch):
