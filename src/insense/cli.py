@@ -10,8 +10,9 @@ benchmark  sweep (trial, selector, budget) cells from a JSON config
 
 All row and column indices in inputs and outputs are 0-based.  Exit
 codes: 0 on success, 1 on runtime failures (bad files, infeasible
-problems, solver errors), 2 on usage errors.  The INSENSE_OUTDIR
-environment variable supplies the default output directory.
+problems, solver errors, a scipy without the HiGHS binding), 2 on usage
+errors.  The INSENSE_OUTDIR environment variable supplies the default
+output directory.
 """
 
 import argparse
@@ -322,7 +323,8 @@ def main(argv=None):
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 1
-    except (InsenseError, OSError, ValueError) as exc:
+    except (InsenseError, OSError, ValueError, ImportError) as exc:
+        # ImportError: a scipy without the HiGHS binding, met at the first LP
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,6 +6,8 @@ file format is plain CSV, one row per sensor, no header; the reader also
 tolerates a single leading comment line starting with '#'.
 """
 
+import math
+
 import numpy as np
 
 from dataclasses import asdict, dataclass
@@ -102,7 +104,8 @@ def load_matrix(path):
 
     Skips one optional leading '#' line and blank lines, then parses
     comma-separated decimals.  Raises MatrixParseError naming the
-    offending 0-based row and column for ragged or non-numeric input.
+    offending 0-based row and column for ragged, non-numeric or
+    non-finite input (nan, inf, or a decimal past the float range).
     """
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()
@@ -123,6 +126,10 @@ def load_matrix(path):
                     row=r,
                     col=c,
                 ) from None
+            if not math.isfinite(values[-1]):
+                raise MatrixParseError(
+                    f"non-finite value {token.strip()!r} at row {r}, column {c}", row=r, col=c
+                )
         if rows and len(values) != len(rows[0]):
             raise MatrixParseError(
                 f"ragged row {r}: {len(values)} values, expected {len(rows[0])}", row=r

@@ -2,9 +2,11 @@
 
 solve_bp finds the minimum-l1 solution of an equality-constrained linear
 system by splitting x into positive and negative parts and handing the
-resulting linear program to the HiGHS solver bundled with scipy.
-The binding is loaded from its extension file (see _load_highs), so
-importing insense pulls in neither scipy.optimize nor scipy.sparse.
+resulting linear program to the HiGHS solver bundled with scipy,
+through its binding scipy.optimize._highspy._core.  The first LP of a
+process imports that binding, and scipy.optimize with it (see
+_highs_binding); importing insense, selecting, scoring and a sweep the
+dual screen decides in full load no scipy module at all.
 evaluate_recovery replays the sweep protocol: plant a unit-magnitude
 k-sparse signal on every size-k support (or a seeded sample of them when
 there are too many), measure it through the selected rows, and count the
@@ -47,14 +49,9 @@ selection controlled.
 """
 
 import contextlib
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 
 import numpy as np
-import scipy
 
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -81,34 +78,6 @@ _EXCHANGE_ROUNDS = 40
 _FEAS_TOL = 1e-8
 _EXACT_TOL = 1e-4
 _SIMPLEX_ITERATION_LIMIT = 20000
-
-
-def _load_highs():
-    """scipy's pybind11 HiGHS binding, without importing scipy.optimize.
-
-    Importing scipy.optimize._highspy._core by name runs all of
-    scipy.optimize's __init__, the largest part of importing insense.  The
-    extension file is loaded on its own instead and registered under its
-    canonical name, so a later import of scipy.optimize finds and shares it.
-    """
-    name = "scipy.optimize._highspy._core"
-    if name in sys.modules:
-        return sys.modules[name]
-    folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_core" + suffix)
-        if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location(name, path)
-            module = importlib.util.module_from_spec(spec)
-            sys.modules[name] = module
-            spec.loader.exec_module(module)
-            return module
-    raise ImportError(
-        f"insense needs scipy's HiGHS binding {name} (scipy >= 1.15); none found in {folder}"
-    )
-
-
-_highs = _load_highs()
 
 
 @dataclass
@@ -182,6 +151,18 @@ def _nan_to_none(value):
     return None if value != value else value
 
 
+def _highs_binding():
+    """scipy's HiGHS binding; the first LP of a process imports scipy.optimize with it."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError as exc:
+        raise ImportError(
+            "basis pursuit needs scipy's HiGHS binding scipy.optimize._highspy._core"
+            f" (scipy >= 1.15): {exc}"
+        ) from exc
+    return _core
+
+
 class _BasisPursuit:
     """The basis pursuit LP of a fixed matrix, re-solved for each measurement.
 
@@ -192,20 +173,22 @@ class _BasisPursuit:
 
     def __init__(self, a):
         m, n = a.shape
-        lp = _highs.HighsLp()
+        core = _highs_binding()
+        lp = core.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = 2 * n
         lp.num_row_ = lp.a_matrix_.num_row_ = m
         lp.col_cost_ = np.ones(2 * n)
         lp.col_lower_ = np.zeros(2 * n)
-        lp.col_upper_ = np.full(2 * n, _highs.kHighsInf)
+        lp.col_upper_ = np.full(2 * n, core.kHighsInf)
         lp.row_lower_ = lp.row_upper_ = np.zeros(m)
         # [a, -a] as dense columns; HiGHS drops their zero entries itself
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.format_ = core.MatrixFormat.kColwise
         lp.a_matrix_.start_ = np.arange(0, 2 * n * m + 1, m)
         lp.a_matrix_.index_ = np.tile(np.arange(m), 2 * n)
         lp.a_matrix_.value_ = np.concatenate([a, -a], axis=1).T.ravel()
         self._a = a
-        self._highs = _highs._Highs()
+        self._optimal = core.HighsModelStatus.kOptimal
+        self._highs = core._Highs()
         self._highs.setOptionValue("output_flag", False)
         self._highs.setOptionValue("simplex_iteration_limit", _SIMPLEX_ITERATION_LIMIT)
         # presolve would run again on every re-solve; without it, sweeps take
@@ -229,7 +212,7 @@ class _BasisPursuit:
             n = self._a.shape[1]
             x = uv[:n] - uv[n:]
             residual = float(np.linalg.norm(self._a @ x - y))
-        if status != _highs.HighsModelStatus.kOptimal or x is None:
+        if status != self._optimal or x is None:
             raise SolverFailureError(
                 f"basis pursuit LP failed: {highs.modelStatusToString(status)}", residual=residual
             )
@@ -254,18 +237,29 @@ def solve_bp(phi_sub, y):
     -------
     ndarray, shape (n,)
 
+    The first call of a process imports scipy.optimize, which holds the
+    HiGHS binding; later calls reuse it.
+
     Raises
     ------
+    ValueError
+        When phi_sub is not a 2-D matrix with at least one row and one
+        column, y does not match its rows, or an entry is not finite.
     SolverFailureError
         When the linear program fails (for one, after
         _SIMPLEX_ITERATION_LIMIT simplex iterations) or the returned point
         leaves an equality residual above _FEAS_TOL (1e-8); carries the
         last residual when known.
+    ImportError
+        When scipy lacks the binding scipy.optimize._highspy._core
+        (scipy < 1.15).
     """
     a = np.asarray(phi_sub, dtype=float)
     y = np.asarray(y, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"measurement matrix must be 2-D, got shape {a.shape}")
+    if 0 in a.shape:
+        raise ValueError(f"measurement matrix must have a row and a column, got shape {a.shape}")
     if y.shape != (a.shape[0],):
         raise ValueError(f"dimension mismatch: matrix {a.shape} vs measurement {y.shape}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(y))):

@@ -278,6 +278,11 @@ def test_runtime_errors_exit_1(capsys, tmp_path):
     code, _ = _run(capsys, ["metrics", "--matrix", str(tmp_path / "missing.csv")])
     assert code == 1
 
+    inf = tmp_path / "inf.csv"
+    inf.write_text("1.0,2.0\n3.0,inf\n")
+    assert main(["metrics", "--matrix", str(inf)]) == 1
+    assert capsys.readouterr().err == "error: non-finite value 'inf' at row 1, column 1\n"
+
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     code, _ = _run(

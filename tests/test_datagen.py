@@ -156,6 +156,15 @@ def test_load_reports_non_numeric_cells(tmp_path):
     assert (err.value.row, err.value.col) == (1, 1)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+def test_load_reports_non_finite_cells(tmp_path, token):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1.0,2.0\n3.0,{token}\n")
+    with pytest.raises(MatrixParseError, match=f"non-finite value '{token}'") as err:
+        load_matrix(path)
+    assert (err.value.row, err.value.col) == (1, 1)
+
+
 def test_load_rejects_empty_files(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

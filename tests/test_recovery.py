@@ -821,6 +821,11 @@ def test_solver_input_errors():
         solve_bp(np.array([[np.nan, 1.0]]), np.ones(1))
     with pytest.raises(ValueError):
         solve_bp(np.eye(2), np.array([np.inf, 1.0]))
+    # empty systems: no row once divided by zero, no column reached HiGHS
+    with pytest.raises(ValueError, match=r"shape \(0, 3\)"):
+        solve_bp(np.ones((0, 3)), np.ones(0))
+    with pytest.raises(ValueError, match=r"shape \(2, 0\)"):
+        solve_bp(np.ones((2, 0)), np.ones(2))
 
 
 def test_iteration_limit_is_a_solver_failure(monkeypatch):
