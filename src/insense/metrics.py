@@ -121,9 +121,9 @@ def _unit_rms(phi):
     Scaling by a power of two is exact, so a quantity that does not depend
     on the scale of phi comes out the same, bit for bit, from the scaled
     matrix, and far from 1 it no longer overflows or underflows on the way:
-    the coherences and the descent, whose smoothing constants eps1/eps2 are
-    absolute.  phi itself comes back, uncopied, when e = 0 (a zero phi
-    included).
+    the coherences and the descent, whose smoothing constants _EPS1/_EPS2
+    (insense.optimizer) are absolute.  phi itself comes back, uncopied,
+    when e = 0 (a zero phi included).
     """
     peak = np.max(np.abs(phi))
     if peak == 0.0:

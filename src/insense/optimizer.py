@@ -7,8 +7,9 @@ through the weighted column Gram matrix
 
     G(z) = phi.T @ diag(z) @ phi,
 
-summing (G_ij^2 + eps1) / (G_ii G_jj + eps2) over column pairs i < j; the
-epsilons keep the ratio bounded when weighted column norms vanish.
+summing (G_ij^2 + _EPS1) / (G_ii G_jj + _EPS2) over column pairs i < j;
+the two constants keep the ratio bounded when weighted column norms
+vanish (a pair with a zero column reads _EPS1 / _EPS2).
 
 Each step projects z - s * grad onto the set once and forms the Gram of
 that end point p once.  The line search then backtracks along the segment
@@ -30,10 +31,10 @@ A run scores each distinct rounding once, across all of its restarts.
 
 Each run_insense call allocates one _StepWork, a single block of n x n
 and d x n arrays that every restart steps in, so a step allocates no
-n x n or d x n array.  gram_matrix, _objective_from_gram and
-weight_gradient write into it when handed one (keyword `work`) and
+n x n or d x n array.  gram_matrix, _objective_from_gram, gram_gradient
+and weight_gradient write into it when handed one (keyword `work`) and
 allocate as before without it.  An objective evaluation leaves its
-den = diag diag' + eps2 and ratio = (G^2 + eps1) / den in the work,
+den = diag diag' + _EPS2 and ratio = (G^2 + _EPS1) / den in the work,
 tagged with its Gram.  The line search ends on the accepted candidate,
 so the gradient of the next step is always taken at the Gram evaluated
 last and starts from those arrays instead of forming them again.
@@ -60,22 +61,24 @@ _REL_TOL = 1e-7
 _REL_FLOOR = 1e-30  # denominator floor for the relative-change stop rule
 # accepted steps without a new best rounding before the descent stops
 _PATIENCE = 10
+# smoothing constants of the objective's column-pair ratios; they are
+# absolute, so run_insense scales phi to unit RMS first
+_EPS1 = 1e-9
+_EPS2 = 1e-10
 
 
 @dataclass
 class InsenseConfig:
     """Settings for run_insense.
 
-    eps1/eps2 smooth the objective (eps2 < eps1 << 1) and must be finite,
-    as must jitter_scale.  The run stops when the relative objective
-    change drops below _REL_TOL (1e-7), when no step descends, when the
-    best rounding has not improved for _PATIENCE (10) accepted steps, or
-    after max_iters iterations; the result's stop_reason says which.
-    max_iters, restarts and seed must be integers (bools are rejected).
+    The run stops when the relative objective change drops below
+    _REL_TOL (1e-7), when no step descends, when the best rounding has
+    not improved for _PATIENCE (10) accepted steps, or after max_iters
+    iterations; the result's stop_reason says which.  max_iters, restarts
+    and seed must be integers (bools are rejected), and jitter_scale
+    finite and non-negative.
     """
 
-    eps1: float = 1e-9
-    eps2: float = 1e-10
     max_iters: int = 5000
     init: str = "uniform"
     jitter_scale: float = 1e-3
@@ -83,18 +86,15 @@ class InsenseConfig:
     restarts: int = 1
 
     def __post_init__(self):
-        for name in ("eps1", "eps2", "jitter_scale"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not 0.0 < self.eps2 < self.eps1 < 1.0:
-            raise ValueError(f"need 0 < eps2 < eps1 < 1, got {self.eps1}, {self.eps2}")
+        if not 0.0 <= self.jitter_scale < np.inf:
+            raise ValueError(
+                f"jitter_scale must be finite and non-negative, got {self.jitter_scale!r}"
+            )
         as_integer(self.max_iters, "max_iters", least=1)
         as_integer(self.restarts, "restarts", least=1)
         as_integer(self.seed, "seed")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        if self.jitter_scale < 0.0:
-            raise ValueError("jitter_scale must be non-negative")
 
 
 @dataclass
@@ -219,42 +219,53 @@ def gram_matrix(phi, z, *, work=None):
     return gram
 
 
-def _den_ratio(gram, eps1, eps2, work):
-    """den = diag diag' + eps2 and ratio = (G^2 + eps1) / den, in work's arrays if given."""
+def _den_ratio(gram, work):
+    """den = diag diag' + _EPS2 and ratio = (G^2 + _EPS1) / den, in work's arrays if given."""
     diag = np.diag(gram)
     den = np.outer(diag, diag, out=None if work is None else work.den)
-    den += eps2
+    den += _EPS2
     ratio = np.square(gram, out=None if work is None else work.ratio)
-    ratio += eps1
+    ratio += _EPS1
     ratio /= den
     return den, ratio
 
 
-def _objective_from_gram(gram, eps1, eps2, *, work=None):
-    den, ratio = _den_ratio(gram, eps1, eps2, work)
+def _objective_from_gram(gram, *, work=None):
+    den, ratio = _den_ratio(gram, work)
     if work is not None:
         work.source = gram
     # off-diagonal sum halves to the i < j pair sum
     return float((ratio.sum() - np.trace(ratio)) / 2.0)
 
 
-def coherence_objective(phi, z, cfg=None):
+def coherence_objective(phi, z):
     """Smoothed average-squared-coherence objective at weights `z`.
 
     Finite for any finite phi and any z in the box, including z = 0.
     """
-    cfg = cfg or InsenseConfig()
-    phi = as_sensing_matrix(phi)
-    return _objective_from_gram(gram_matrix(phi, z), cfg.eps1, cfg.eps2)
+    return _objective_from_gram(gram_matrix(as_sensing_matrix(phi), z))
 
 
-def _gram_gradient(gram, eps1, eps2, work):
+def gram_gradient(gram, *, work=None):
+    """Gradient of the objective with respect to the Gram matrix, symmetrized.
+
+    With den_ij = G_ii G_jj + _EPS2, off-diagonal entry (i, j) is
+    G_ij / den_ij, half the derivative by the pair's G_ij, placed once on
+    each side of the diagonal; diagonal entry (i, i) collects the effect
+    of G_ii on every denominator it appears in,
+    -sum_{l != i} G_ll (G_il^2 + _EPS1) / den_il^2.  The quadratic form
+    x' H x of the result is the chain-rule derivative along x x'.  With
+    `work` the result is written into its den array, starting from the den
+    and ratio of the last objective evaluation when that was on `gram`
+    itself (unchanged since).
+    """
+    gram = np.asarray(gram, dtype=float)
     # den and ratio of the last objective evaluation are reused only for
     # the very Gram array it was made on
     if work is not None and work.source is gram:
         den, ratio = work.den, work.ratio
     else:
-        den, ratio = _den_ratio(gram, eps1, eps2, work)
+        den, ratio = _den_ratio(gram, work)
     if work is not None:
         work.source = None  # den and ratio are overwritten below
     q = np.divide(ratio, den, out=ratio)
@@ -264,31 +275,14 @@ def _gram_gradient(gram, eps1, eps2, work):
     return grad
 
 
-def gram_gradient(gram, cfg=None):
-    """Gradient of the objective with respect to the Gram matrix, symmetrized.
-
-    With den_ij = G_ii G_jj + eps2, off-diagonal entry (i, j) is
-    G_ij / den_ij, half the derivative by the pair's G_ij, placed once on
-    each side of the diagonal; diagonal entry (i, i) collects the effect
-    of G_ii on every denominator it appears in,
-    -sum_{l != i} G_ll (G_il^2 + eps1) / den_il^2.  The quadratic form
-    x' H x of the result is the chain-rule derivative along x x'.
-    """
-    cfg = cfg or InsenseConfig()
-    return _gram_gradient(np.asarray(gram, dtype=float), cfg.eps1, cfg.eps2, None)
-
-
-def weight_gradient(phi, gram, cfg=None, *, work=None):
+def weight_gradient(phi, gram, *, work=None):
     """Chain-rule gradient with respect to the selection weights.
 
     Component i is the quadratic form of sensor row i against the Gram
     gradient; the d x d conjugation is never materialized.  With `work`
-    the n x n and d x n steps run in its arrays, starting from the den
-    and ratio of the last objective evaluation when that was on `gram`
-    itself (unchanged since).
+    the n x n and d x n steps run in its arrays (see gram_gradient).
     """
-    cfg = cfg or InsenseConfig()
-    grad = _gram_gradient(np.asarray(gram, dtype=float), cfg.eps1, cfg.eps2, work)
+    grad = gram_gradient(gram, work=work)
     prod = np.matmul(phi, grad, out=None if work is None else work.support)
     prod *= phi
     return prod.sum(axis=1)
@@ -335,7 +329,7 @@ def _score(phi, subset, scores):
 def _run_single(phi, m, cfg, rng, work, callback=None):
     z = _initial_weights(phi.shape[0], m, cfg, rng)
     gram = gram_matrix(phi, z, work=work)
-    f = _objective_from_gram(gram, cfg.eps1, cfg.eps2, work=work)
+    f = _objective_from_gram(gram, work=work)
     if not np.isfinite(f):
         raise NumericalFailureError("objective non-finite at the initial point", iteration=0)
     work.accept(gram)
@@ -348,7 +342,7 @@ def _run_single(phi, m, cfg, rng, work, callback=None):
     best = (_score(phi, subset, work.scores), 0, subset)
     step = _LS_INIT_STEP
     for iterations in range(1, cfg.max_iters + 1):
-        grad = weight_gradient(phi, gram, cfg, work=work)
+        grad = weight_gradient(phi, gram, work=work)
         if iterations > 1:
             step = _bb_step(z - z_prev, grad - grad_prev, step, _LS_INIT_STEP)
         # backtracks move along the segment from z to end (module docstring)
@@ -356,7 +350,7 @@ def _run_single(phi, m, cfg, rng, work, callback=None):
         gram_end = gram_matrix(phi, end, work=work)
         t, gram_cand = 1.0, gram_end
         for _ in range(_MAX_BACKTRACKS):
-            f_cand = _objective_from_gram(gram_cand, cfg.eps1, cfg.eps2, work=work)
+            f_cand = _objective_from_gram(gram_cand, work=work)
             evals += 1
             if not np.isfinite(f_cand):
                 raise NumericalFailureError(

@@ -669,10 +669,9 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
     supports, sampled = _supports(n, k, cfg)
     verdicts = _dual_screen(a, supports)
     # the screen's verdicts in bulk, and the LP trials fill in their own
-    # below; residuals and errors are Python floats, the one math.nan object
-    # where no LP ran, so equal sweeps give equal per_trial lists
+    # below; NaN where no LP ran
     recovered = verdicts > 0
-    residual = np.full(len(supports), math.nan, dtype=object)
+    residual = np.full(len(supports), np.nan)
     residual[recovered] = 0.0
     err = residual.copy()
     bp = None  # built by the first trial that reaches an LP

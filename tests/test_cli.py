@@ -270,6 +270,10 @@ def test_usage_errors_exit_2():
     _usage_error(["metrics"])  # no source at all
     _usage_error(["metrics", "--ensemble", "gaussian", "--d", "4", "--n", "3",
                   "--subset", "1,1"])  # duplicate indices
+    _usage_error(["select", "--ensemble", "gaussian", "--d", "5", "--n", "4", "--m", "two"])
+    for subset in ("0,x", "-1,2"):  # a non-integer entry, a negative index
+        _usage_error(["metrics", "--ensemble", "gaussian", "--d", "4", "--n", "3",
+                      f"--subset={subset}"])
     # was ignored: an unsigned matrix, with "signed": true in its manifest
     _usage_error(["generate", "--ensemble", "gaussian", "--d", "3", "--n", "2", "--signed"])
 
@@ -599,7 +603,7 @@ def test_benchmark_config_errors_exit_1(capsys, tmp_path):
     variants.append(dict(base, selectors=[{"method": "random", "seed": 1}]))
     # former InsenseConfig fields: ls_c was never read, the others are constants now
     for name, value in (("ls_c", 1e-4), ("rel_tol", 1e-7), ("ls_shrink", 0.5),
-                        ("ls_init_step", 1.0)):
+                        ("ls_init_step", 1.0), ("eps1", 1e-9), ("eps2", 1e-10)):
         variants.append(dict(base, selectors=[{"method": "insense", name: value}]))
     # option values are checked before any cell runs
     variants.append(dict(base, selectors=[{"method": "insense", "max_iters": 0}]))
@@ -607,7 +611,7 @@ def test_benchmark_config_errors_exit_1(capsys, tmp_path):
     variants.append(dict(base, selectors=[{"method": "insense", "restarts": True}]))
     variants.append(dict(base, selectors=[{"method": "insense", "init": "zeros"}]))
     # json writes and reads these as NaN and Infinity
-    variants.append(dict(base, selectors=[{"method": "insense", "eps1": float("nan")}]))
+    variants.append(dict(base, selectors=[{"method": "insense", "jitter_scale": float("nan")}]))
     variants.append(dict(base, selectors=[{"method": "insense", "jitter_scale": float("inf")}]))
     variants.append(
         dict(base, selectors=[{"method": "exhaustive-mu-avg", "exhaustive_limit": "abc"}])

@@ -48,6 +48,7 @@ def test_hand_value_two_by_two():
     assert mu_avg(phi) == pytest.approx(1.0 / math.sqrt(2))
     assert mu_max(phi) == pytest.approx(1.0 / math.sqrt(2))
     assert frame_potential(phi) == pytest.approx(1.0)
+    assert frame_potential(phi[:1]) == 0.0  # one row has no pair of rows
     # CN is the golden ratio squared for this matrix
     golden = (1.0 + math.sqrt(5.0)) / 2.0
     assert condition_number(phi) == pytest.approx(golden**2)
@@ -109,6 +110,10 @@ def test_zero_column_undefines_coherence():
     report = metric_report(phi)
     assert report.mu_avg is None and report.mu_max is None
     assert report.frame_potential == pytest.approx(frame_potential(phi))
+    # an all-zero matrix is left unscaled
+    zero = metric_report(np.zeros((3, 3)))
+    assert (zero.mu_avg, zero.mu_max, zero.frame_potential, zero.condition_number) == (
+        None, None, 0.0, None)
 
 
 def test_rank_deficiency_undefines_condition_number():

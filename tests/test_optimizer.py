@@ -32,8 +32,8 @@ from insense.projection import BOX_TOL, SUM_TOL, project_sbs
 from insense.seeding import seeded_rng
 
 
-def _objective_loop(phi, z, eps1, eps2):
-    """Objective by explicit loops over columns and pairs."""
+def _objective_loop(phi, z):
+    """Objective by explicit loops over columns and pairs, smoothed by 1e-9 and 1e-10."""
     d, n = phi.shape
     g = np.zeros((n, n))
     for k in range(d):
@@ -41,17 +41,17 @@ def _objective_loop(phi, z, eps1, eps2):
     total = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            total += (g[i, j] ** 2 + eps1) / (g[i, i] * g[j, j] + eps2)
+            total += (g[i, j] ** 2 + 1e-9) / (g[i, i] * g[j, j] + 1e-10)
     return total
 
 
-def _fd_gradient(phi, z, cfg, h=1e-6):
+def _fd_gradient(phi, z, h=1e-6):
     grad = np.empty(z.size)
     for i in range(z.size):
         zp, zm = z.copy(), z.copy()
         zp[i] += h
         zm[i] -= h
-        grad[i] = (coherence_objective(phi, zp, cfg) - coherence_objective(phi, zm, cfg)) / (2 * h)
+        grad[i] = (coherence_objective(phi, zp) - coherence_objective(phi, zm)) / (2 * h)
     return grad
 
 
@@ -124,7 +124,7 @@ def _reference_descent(phi, m, cfg):
     """run_insense with a step of fresh arrays, as before the work arrays.
 
     Every Gram, objective and backtrack combination allocates its arrays,
-    den is np.outer(diag, diag) + eps2, the gradient is the full
+    den is np.outer(diag, diag) + _EPS2, the gradient is the full
     gram_gradient, and every rounding is scored.  Returns the reported
     restart's (subset, subset_iteration, subset_mu_avg, final_weights,
     trace, stop_reason), the evaluations and the steps over all restarts.
@@ -138,11 +138,11 @@ def _reference_descent(phi, m, cfg):
 
     def objective(gram):
         diag = np.diag(gram)
-        ratio = (np.square(gram) + cfg.eps1) / (np.outer(diag, diag) + cfg.eps2)
+        ratio = (np.square(gram) + optimizer._EPS1) / (np.outer(diag, diag) + optimizer._EPS2)
         return float((ratio.sum() - np.trace(ratio)) / 2.0)
 
     def gradient(gram):
-        prod = phi @ gram_gradient(gram, cfg)
+        prod = phi @ gram_gradient(gram)
         prod *= phi
         return prod.sum(axis=1)
 
@@ -229,27 +229,26 @@ def test_descent_in_work_arrays_matches_the_fresh_array_reference(spec, m, cfg):
 
 def test_gradient_reuses_den_and_ratio_only_of_its_own_gram():
     rng = np.random.default_rng(53)
-    cfg = InsenseConfig()
     phi = rng.standard_normal((30, 20))
     z1, z2 = rng.uniform(0.0, 1.0, 30), np.where(rng.uniform(size=30) < 0.5, 0.4, 0.0)
     work = optimizer._StepWork(30, 20)
-    expected = weight_gradient(phi, gram_matrix(phi, z2), cfg)
+    expected = weight_gradient(phi, gram_matrix(phi, z2))
     # the work holds den/ratio of the Gram of z1, the gradient is asked at z2's
     gram1 = gram_matrix(phi, z1, work=work)
     np.testing.assert_array_equal(gram1, gram_matrix(phi, z1))
-    optimizer._objective_from_gram(gram1, cfg.eps1, cfg.eps2, work=work)
+    optimizer._objective_from_gram(gram1, work=work)
     other = gram_matrix(phi, z2)
-    np.testing.assert_array_equal(weight_gradient(phi, other, cfg, work=work), expected)
+    np.testing.assert_array_equal(weight_gradient(phi, other, work=work), expected)
     # den/ratio of z1's Gram, then z2's Gram written over it in the same slot
-    optimizer._objective_from_gram(gram1, cfg.eps1, cfg.eps2, work=work)
+    optimizer._objective_from_gram(gram1, work=work)
     gram2 = gram_matrix(phi, z2, work=work)
     assert gram2 is gram1
-    np.testing.assert_array_equal(weight_gradient(phi, gram2, cfg, work=work), expected)
+    np.testing.assert_array_equal(weight_gradient(phi, gram2, work=work), expected)
     # den/ratio of the Gram itself are reused, with the same bits
-    f = optimizer._objective_from_gram(gram2, cfg.eps1, cfg.eps2, work=work)
-    assert f == coherence_objective(phi, z2, cfg)
+    f = optimizer._objective_from_gram(gram2, work=work)
+    assert f == coherence_objective(phi, z2)
     assert work.source is gram2
-    np.testing.assert_array_equal(weight_gradient(phi, gram2, cfg, work=work), expected)
+    np.testing.assert_array_equal(weight_gradient(phi, gram2, work=work), expected)
     assert work.source is None
 
 
@@ -349,9 +348,9 @@ def _objective_turns_at(monkeypatch, after, value):
     state = {"turned": after == 0, "evals": 0}
     true_objective = optimizer._objective_from_gram
 
-    def objective(gram, eps1, eps2, **kwargs):
+    def objective(gram, **kwargs):
         state["evals"] += 1
-        f = true_objective(gram, eps1, eps2, **kwargs)
+        f = true_objective(gram, **kwargs)
         return value(f) if state["turned"] and state["evals"] > 1 else f
 
     def callback(iteration, z, f):
@@ -469,34 +468,32 @@ def test_subset_quality_holds_against_fixed_step_search(
 
 def test_objective_matches_loop_oracle():
     rng = np.random.default_rng(7)
-    cfg = InsenseConfig()
     for _ in range(10):
         d, n = int(rng.integers(2, 10)), int(rng.integers(2, 9))
         phi = rng.standard_normal((d, n))
         z = rng.uniform(0.0, 1.0, d)
-        expected = _objective_loop(phi, z, cfg.eps1, cfg.eps2)
-        assert coherence_objective(phi, z, cfg) == pytest.approx(expected, rel=1e-10)
+        expected = _objective_loop(phi, z)
+        assert coherence_objective(phi, z) == pytest.approx(expected, rel=1e-10)
 
 
 def test_weight_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
-    cfg = InsenseConfig()
     for _ in range(20):
         d, n = int(rng.integers(2, 9)), int(rng.integers(2, 8))
         phi = rng.standard_normal((d, n))
         z = rng.uniform(0.1, 0.9, d)
-        grad = weight_gradient(phi, gram_matrix(phi, z), cfg)
-        fd = _fd_gradient(phi, z, cfg)
+        grad = weight_gradient(phi, gram_matrix(phi, z))
+        fd = _fd_gradient(phi, z)
         scale = max(np.max(np.abs(fd)), 1e-12)
         assert np.max(np.abs(grad - fd)) / scale < 1e-5
 
 
-def _triangular_gram_gradient(gram, cfg):
+def _triangular_gram_gradient(gram):
     """Upper-triangular Gram gradient, the pair derivative 2 G_ij / den_ij above the diagonal."""
     diag = np.diag(gram)
-    den = np.outer(diag, diag) + cfg.eps2
+    den = np.outer(diag, diag) + optimizer._EPS2
     grad = np.triu(2.0 * gram / den, k=1)
-    diag_terms = -(diag[None, :] * (gram**2 + cfg.eps1)) / den**2
+    diag_terms = -(diag[None, :] * (gram**2 + optimizer._EPS1)) / den**2
     np.fill_diagonal(diag_terms, 0.0)
     np.fill_diagonal(grad, diag_terms.sum(axis=1))
     return grad
@@ -504,25 +501,23 @@ def _triangular_gram_gradient(gram, cfg):
 
 def test_gram_gradient_is_symmetric_with_the_triangular_quadratic_forms():
     rng = np.random.default_rng(61)
-    cfg = InsenseConfig()
     for d, n in ((6, 4), (40, 30), (200, 200)):
         phi = rng.standard_normal((d, n))
         gram = gram_matrix(phi, rng.uniform(0.0, 1.0, d))
         before = gram.copy()
-        sym = gram_gradient(gram, cfg)
+        sym = gram_gradient(gram)
         np.testing.assert_array_equal(gram, before)  # the in-place steps work on copies
         np.testing.assert_array_equal(sym, sym.T)
-        tri = _triangular_gram_gradient(gram, cfg)
+        tri = _triangular_gram_gradient(gram)
         np.testing.assert_allclose(np.diag(sym), np.diag(tri), rtol=1e-12, atol=0.0)
         expected = np.einsum("ij,ij->i", phi @ tri, phi)
-        got = weight_gradient(phi, gram, cfg)
+        got = weight_gradient(phi, gram)
         scale = np.max(np.abs(expected))
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_objective_is_bit_identical_to_the_one_expression_form():
     rng = np.random.default_rng(67)
-    cfg = InsenseConfig()
     # few columns leave few terms, so a rounding change in one term shows
     sizes = [(3, 2)] * 20 + [(5, 3)] * 20 + [(40, 30), (200, 200)]
     for d, n in sizes:
@@ -530,9 +525,9 @@ def test_objective_is_bit_identical_to_the_one_expression_form():
         z = rng.uniform(0.0, 1.0, d)
         gram = gram_matrix(phi, z)
         diag = np.diag(gram)
-        ratio = (gram**2 + cfg.eps1) / (np.outer(diag, diag) + cfg.eps2)
+        ratio = (gram**2 + optimizer._EPS1) / (np.outer(diag, diag) + optimizer._EPS2)
         expected = float((ratio.sum() - np.trace(ratio)) / 2.0)
-        assert coherence_objective(phi, z, cfg) == expected
+        assert coherence_objective(phi, z) == expected
 
 
 def test_gram_gradient_diagonal_sign():
@@ -542,6 +537,28 @@ def test_gram_gradient_diagonal_sign():
     g = gram_matrix(phi, np.full(6, 0.5))
     diag = np.diag(gram_gradient(g))
     assert np.all(diag < 0.0)
+
+
+def test_smoothing_constants_keep_their_values_and_roles():
+    assert (optimizer._EPS1, optimizer._EPS2) == (1e-9, 1e-10)
+    # a pair with an all-zero column reads _EPS1 / _EPS2, whatever the weights
+    phi = np.array([[1.0, 0.0], [2.0, 0.0]])
+    for z in (np.array([0.5, 0.5]), np.array([1.0, 0.0]), np.zeros(2)):
+        assert coherence_objective(phi, z) == optimizer._EPS1 / optimizer._EPS2 == 10.0
+    # values of the objective and gradient from when the constants were
+    # InsenseConfig fields; a change of either constant by 10 % moves the
+    # gradient by more than 1e-11, relative, and the tolerance allows only
+    # for BLAS rounding
+    phi = np.array([[1.0, 0.0, 2.0], [2.0, 0.0, -1.0], [0.5, 0.0, 1.0]])
+    assert coherence_objective(phi, np.array([0.3, 0.9, 0.6])) == pytest.approx(
+        20.074074074164848, rel=1e-13, abs=0.0)
+    rng = np.random.default_rng(5)
+    phi = rng.standard_normal((6, 5))
+    z = rng.uniform(0.0, 1.0, 6)
+    expected = [0.7624789597954735, -0.09189553137314366, 0.5896091388109681,
+                -0.38725622232761797, -0.4013596433688667, -1.8016986422050423]
+    np.testing.assert_allclose(weight_gradient(phi, gram_matrix(phi, z)), expected,
+                               rtol=1e-13, atol=0.0)
 
 
 def test_duplicate_rows_get_identical_gradients():
@@ -594,11 +611,11 @@ def test_reported_objective_matches_a_fresh_evaluation(ensemble, m, cfg):
         result = run_insense(phi, m, run_cfg, callback=lambda it, z, f: seen.append((z.copy(), f)))
         assert len(seen) > 0
         for z, f in seen:
-            assert f == pytest.approx(coherence_objective(scaled, z, run_cfg), rel=1e-12, abs=0.0)
+            assert f == pytest.approx(coherence_objective(scaled, z), rel=1e-12, abs=0.0)
             assert abs(z.sum() - m) <= SUM_TOL
             assert z.min() >= -BOX_TOL and z.max() <= 1.0 + BOX_TOL
         assert result.final_objective == pytest.approx(
-            coherence_objective(scaled, result.final_weights, run_cfg), rel=1e-12, abs=0.0
+            coherence_objective(scaled, result.final_weights), rel=1e-12, abs=0.0
         )
 
 
@@ -645,7 +662,7 @@ def test_full_budget_selects_everything():
 
 
 def test_selection_does_not_depend_on_the_scale_of_phi():
-    # eps1/eps2 are absolute, so the descent sees phi at a fixed RMS scale
+    # _EPS1/_EPS2 are absolute, so the descent sees phi at a fixed RMS scale
     phi = generate(EnsembleSpec("uniform-gaussian", d=200, n=200, seed=0, gaussian_rows=10))
     base = run_insense(phi, 10)
     for scale in (1e-8, 1e-4, 1e4, 1e150):
@@ -674,8 +691,6 @@ def test_restarts_use_their_own_streams():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        InsenseConfig(eps1=1e-10, eps2=1e-9)
-    with pytest.raises(ValueError):
         InsenseConfig(max_iters=0)
     with pytest.raises(ValueError):
         InsenseConfig(max_iters=2.5)
@@ -694,10 +709,9 @@ def test_config_validation():
                 InsenseConfig(**{name: value})
     assert InsenseConfig(max_iters=np.int64(3), restarts=np.int32(2), seed=-4).seed == -4
     # JSON configs can carry NaN and Infinity
-    for name in ("eps1", "eps2", "jitter_scale"):
-        for value in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError, match=name):
-                InsenseConfig(**{name: value})
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="jitter_scale"):
+            InsenseConfig(jitter_scale=value)
 
 
 def test_input_validation():
