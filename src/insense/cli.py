@@ -61,15 +61,9 @@ def _index_list(text):
     return indices
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _dump(payload, path=None):
     """Pretty-print a JSON payload to stdout, optionally also to a file."""
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -183,7 +177,8 @@ def cmd_select(args):
     # the descent fields of the result, or None for a method without descent
     descent = dict.fromkeys([f.name for f in dataclasses.fields(SelectionResult)] + ["converged"])
     if result is not None:
-        descent = {**dataclasses.asdict(result), "converged": result.converged}
+        descent = {**dataclasses.asdict(result), "converged": result.converged,
+                   "final_weights": result.final_weights.tolist()}
     del descent["subset"]
     descent["weights"] = descent.pop("final_weights")
     payload = {

@@ -100,7 +100,7 @@ def extract_submatrix(phi, indices):
     """Return the rows of `phi` selected by `indices`, in that order."""
     phi = as_sensing_matrix(phi)
     idx = validate_subset(indices, phi.shape[0])
-    return phi[idx].copy()
+    return phi[idx]
 
 
 @lru_cache(maxsize=1)

@@ -33,7 +33,7 @@ Each run_insense call allocates one _StepWork, a single block of n x n
 and d x n arrays that every restart steps in, so a step allocates no
 n x n or d x n array.  gram_matrix, _objective_from_gram, gram_gradient
 and weight_gradient write into it when handed one (keyword `work`) and
-allocate as before without it.  An objective evaluation leaves its
+return fresh arrays without it.  An objective evaluation leaves its
 den = diag diag' + _EPS2 and ratio = (G^2 + _EPS1) / den in the work,
 tagged with its Gram.  The line search ends on the accepted candidate,
 so the gradient of the next step is always taken at the Gram evaluated
@@ -42,7 +42,7 @@ last and starts from those arrays instead of forming them again.
 
 import numpy as np
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .exceptions import NumericalFailureError
 from .metrics import _unit_rms, as_integer, as_sensing_matrix, mu_avg, validate_budget
@@ -288,14 +288,6 @@ def weight_gradient(phi, gram, *, work=None):
     return prod.sum(axis=1)
 
 
-def _initial_weights(d, m, cfg, rng):
-    z = np.full(d, m / d)
-    if cfg.init == "uniform-plus-jitter" and cfg.jitter_scale > 0.0:
-        z = z + cfg.jitter_scale * rng.standard_normal(d)
-        z = project_sbs(z, m).z
-    return z
-
-
 def _round_to_subset(z, m):
     top = np.argsort(-z, kind="stable")[:m]
     return np.sort(top)
@@ -308,7 +300,8 @@ def _bb_step(dz, dg, last, cap):
     last accepted step; their BB1 ratio dz.dz / dz.dg is capped at `cap`.
     Without positive curvature along dz, or with a non-finite ratio, the
     search uses `last`, the step actually taken last time: s times the
-    accepted segment fraction t.
+    accepted segment fraction t.  Before the first step dz is zero, so the
+    first search uses `last` as given.
     """
     curvature = float(dz @ dg)
     if curvature > 0.0:
@@ -326,8 +319,8 @@ def _score(phi, subset, scores):
     return scores[key]
 
 
-def _run_single(phi, m, cfg, rng, work, callback=None):
-    z = _initial_weights(phi.shape[0], m, cfg, rng)
+def _run_single(phi, m, z, max_iters, work, callback=None):
+    """One descent from the feasible weights `z`, at most max_iters steps."""
     gram = gram_matrix(phi, z, work=work)
     f = _objective_from_gram(gram, work=work)
     if not np.isfinite(f):
@@ -340,11 +333,11 @@ def _run_single(phi, m, cfg, rng, work, callback=None):
     # best rounded candidate so far: (score, iteration, subset)
     subset = _round_to_subset(z, m)
     best = (_score(phi, subset, work.scores), 0, subset)
-    step = _LS_INIT_STEP
-    for iterations in range(1, cfg.max_iters + 1):
+    # a zero dz keeps the first step at _LS_INIT_STEP
+    step, z_prev, grad_prev = _LS_INIT_STEP, z, 0.0
+    for iterations in range(1, max_iters + 1):
         grad = weight_gradient(phi, gram, work=work)
-        if iterations > 1:
-            step = _bb_step(z - z_prev, grad - grad_prev, step, _LS_INIT_STEP)
+        step = _bb_step(z - z_prev, grad - grad_prev, step, _LS_INIT_STEP)
         # backtracks move along the segment from z to end (module docstring)
         end = project_sbs(z - step * grad, m).z
         gram_end = gram_matrix(phi, end, work=work)
@@ -427,31 +420,33 @@ def run_insense(phi, m, cfg=None, callback=None):
     The descent runs on phi scaled by the power of two that puts its RMS
     entry in [0.5, 2), so the selection does not depend on the scale of
     phi; objective values and traces are those of the scaled matrix.
-    With restarts > 1, restart 0 uses cfg.init and every later restart
-    uses a jittered start (identical uniform restarts would be no-ops);
-    restart r draws from the seeded stream (cfg.seed, r).  Restarts are
-    compared the same way iterate candidates are: the subset with the
-    lowest defined average column coherence wins, earliest restart on
-    ties; if no restart produced a defined score, the lowest final
-    objective wins.
+    Every restart starts from the uniform point m/d.  Restart 0 jitters
+    it when cfg.init is "uniform-plus-jitter", every later restart always
+    (identical uniform restarts would be no-ops): restart r adds
+    jitter_scale times standard normal draws from the seeded stream
+    (cfg.seed, r) and projects back onto the set.  With jitter_scale 0
+    every restart starts uniform.  Restarts are compared the same way
+    iterate candidates are: the subset with the lowest defined average
+    column coherence wins, earliest restart on ties; a restart without a
+    defined score ranks after those with one, by its final objective.
+    objective_evals sums the evaluations of every restart.
     """
     cfg = cfg or InsenseConfig()
     phi = _unit_rms(as_sensing_matrix(phi))[0]
-    m = validate_budget(m, phi.shape[0])
+    d = phi.shape[0]
+    m = validate_budget(m, d)
     work = _StepWork(*phi.shape)
-    best = None
-    best_key = None
-    evals = 0
+    results = []
     for r in range(cfg.restarts):
-        rng = seeded_rng(cfg.seed, r)
-        run_cfg = cfg if r == 0 else replace(cfg, init="uniform-plus-jitter")
-        result = _run_single(phi, m, run_cfg, rng, work, callback=callback)
-        evals += result.objective_evals
-        if result.subset_mu_avg is not None:
-            key = (0, result.subset_mu_avg)
-        else:
-            key = (1, result.final_objective)
-        if best is None or key < best_key:
-            best, best_key = result, key
-    best.objective_evals = evals
+        z = np.full(d, m / d)
+        if (r > 0 or cfg.init == "uniform-plus-jitter") and cfg.jitter_scale > 0.0:
+            jitter = cfg.jitter_scale * seeded_rng(cfg.seed, r).standard_normal(d)
+            z = project_sbs(z + jitter, m).z
+        results.append(_run_single(phi, m, z, cfg.max_iters, work, callback=callback))
+    # min keeps the earliest of equal keys
+    best = min(results, key=lambda res: (
+        res.subset_mu_avg is None,
+        res.final_objective if res.subset_mu_avg is None else res.subset_mu_avg,
+    ))
+    best.objective_evals = sum(res.objective_evals for res in results)
     return best

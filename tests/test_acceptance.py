@@ -42,7 +42,7 @@ def _verdict(capsys, name, ok, detail):
 # -- gradient against central finite differences ------------------------------
 
 
-def _fd_gradient(phi, z, cfg, h=1e-6):
+def _fd_gradient(phi, z, h=1e-6):
     grad = np.zeros(z.size)
     for i in range(z.size):
         zp, zm = z.copy(), z.copy()
@@ -54,7 +54,6 @@ def _fd_gradient(phi, z, cfg, h=1e-6):
 
 def test_gradient_oracle(capsys):
     rng = np.random.default_rng(101)
-    cfg = InsenseConfig()
     start = time.perf_counter()
     worst = 0.0
     for _ in range(100):
@@ -63,7 +62,7 @@ def test_gradient_oracle(capsys):
         phi = rng.standard_normal((d, n))
         z = rng.uniform(0.0, 1.0, size=d)
         analytic = weight_gradient(phi, gram_matrix(phi, z))
-        fd = _fd_gradient(phi, z, cfg)
+        fd = _fd_gradient(phi, z)
         scale = max(float(np.max(np.abs(fd))), 1e-12)
         worst = max(worst, float(np.max(np.abs(analytic - fd))) / scale)
     elapsed = time.perf_counter() - start

@@ -8,7 +8,6 @@ rows.
 """
 
 import collections
-import dataclasses
 
 import numpy as np
 import pytest
@@ -125,7 +124,9 @@ def _reference_descent(phi, m, cfg):
 
     Every Gram, objective and backtrack combination allocates its arrays,
     den is np.outer(diag, diag) + _EPS2, the gradient is the full
-    gram_gradient, and every rounding is scored.  Returns the reported
+    gram_gradient, and every rounding is scored.  Each restart starts from
+    the uniform point m/d, jittered and projected for restart r > 0 or
+    init "uniform-plus-jitter" when jitter_scale > 0.  Returns the reported
     restart's (subset, subset_iteration, subset_mu_avg, final_weights,
     trace, stop_reason), the evaluations and the steps over all restarts.
     """
@@ -149,8 +150,10 @@ def _reference_descent(phi, m, cfg):
     phi = optimizer._unit_rms(phi)[0]
     best, evals, steps = None, 0, 0
     for r in range(cfg.restarts):
-        run_cfg = cfg if r == 0 else dataclasses.replace(cfg, init="uniform-plus-jitter")
-        z = optimizer._initial_weights(phi.shape[0], m, run_cfg, seeded_rng(cfg.seed, r))
+        z = np.full(phi.shape[0], m / phi.shape[0])
+        if (r > 0 or cfg.init == "uniform-plus-jitter") and cfg.jitter_scale > 0.0:
+            jitter = cfg.jitter_scale * seeded_rng(cfg.seed, r).standard_normal(z.size)
+            z = project_sbs(z + jitter, m).z
         gram = gram_of(z)
         f = objective(gram)
         trace, stop_reason = [f], "max_iters"
@@ -338,6 +341,30 @@ def test_stop_reasons(monkeypatch):
     assert blind.stop_reason == "rel_tol"
     assert blind.iterations > optimizer._PATIENCE
     assert blind.subset_iteration == blind.iterations
+
+
+def test_restarts_without_a_score_report_the_lowest_final_objective():
+    # no 5-row rounding has a defined score, so the final objectives decide
+    result, paths = _restart_paths(_uncoverable_matrix(), 5, InsenseConfig(restarts=3, seed=0))
+    assert result.subset_mu_avg is None
+    finals = [path[-1][1] for path in paths]
+    assert result.final_objective == min(finals)
+    # restart 1 wins, not the first one run
+    assert finals.index(min(finals)) == 1
+    np.testing.assert_array_equal(result.final_weights, paths[1][-1][0])
+
+
+def test_restarts_without_jitter_repeat_the_first_descent():
+    phi = generate(EnsembleSpec("uniform-gaussian", d=200, n=200, seed=0, gaussian_rows=10))
+    one = run_insense(phi, 10, InsenseConfig(jitter_scale=0.0, seed=0))
+    three = run_insense(phi, 10, InsenseConfig(jitter_scale=0.0, seed=0, restarts=3))
+    np.testing.assert_array_equal(three.subset, one.subset)
+    np.testing.assert_array_equal(three.final_weights, one.final_weights)
+    assert three.objective_trace == one.objective_trace
+    assert (three.iterations, three.subset_iteration) == (one.iterations, one.subset_iteration)
+    assert three.subset_mu_avg == one.subset_mu_avg
+    # every restart is counted, each the same uniform descent
+    assert (one.objective_evals, three.objective_evals) == (13, 39)
 
 
 def _objective_turns_at(monkeypatch, after, value):
