@@ -61,7 +61,8 @@ def project_sbs(y, m):
     y : array_like, shape (d,)
         Finite point to project.
     m : float
-        Budget, 0 < m <= d.  Non-integer budgets are accepted.
+        Budget, 0 < m <= d.  Non-integer budgets are accepted; bools are
+        rejected.
 
     Returns
     -------
@@ -77,6 +78,8 @@ def project_sbs(y, m):
     if not np.all(np.isfinite(y)):
         raise ValueError("cannot project a non-finite point")
     d = y.size
+    if isinstance(m, (bool, np.bool_)):
+        raise InfeasibleConstraintError(f"budget m={m!r} must be a number, not a bool")
     if not 0.0 < m <= d:
         raise InfeasibleConstraintError(f"budget m={m} outside (0, {d}]")
     if m == d:

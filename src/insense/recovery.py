@@ -54,6 +54,7 @@ import math
 import numpy as np
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import NamedTuple
 
 from .exceptions import SolverFailureError
@@ -280,22 +281,33 @@ def _unit_columns(a):
     return a / np.where(norms > 0.0, norms, 1.0)
 
 
+@lru_cache(maxsize=64)
+def _binomials(n, r, total):
+    """C(j, r) for j = 0..n, clipped at total, as a read-only int64 array.
+
+    A sweep unranks with one table per support position; sweeps of one n
+    and k repeat them, so the last few are kept.
+    """
+    table = np.array([min(math.comb(j, r), total) for j in range(n + 1)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
 def _unrank(ranks, n, k):
     """Lexicographic size-k subsets of range(n) for an array of ranks.
 
     Rank r is rewritten as q = C(n, k) - r, the number of subsets from
     the r-th on; position by position, the next element v is the largest
     with C(n - v, remaining) >= q, found by one searchsorted over the
-    table C(j, remaining), j = 0..n, and q drops by C(n - v - 1,
-    remaining).  Table entries are clipped at C(n, k), which q never
-    exceeds, so every count fits in int64 when C(n, k) does.
+    table C(j, remaining), j = 0..n (see _binomials), and q drops by
+    C(n - v - 1, remaining).  Table entries are clipped at C(n, k), which
+    q never exceeds, so every count fits in int64 when C(n, k) does.
     """
     total = math.comb(n, k)
     q = total - np.asarray(ranks, dtype=np.int64)
     out = np.empty((q.size, k), dtype=np.intp)
     for i, remaining in enumerate(range(k, 0, -1)):
-        table = np.array([min(math.comb(j, remaining), total) for j in range(n + 1)],
-                         dtype=np.int64)
+        table = _binomials(n, remaining, total)
         j = np.searchsorted(table, q)
         out[:, i] = n - j
         q -= table[j - 1]
@@ -377,7 +389,11 @@ def _exchange(a, sup, root, ref, reach):
     Each support holds the inverse of its bordered matrix K = [[A_S, -A_J],
     [0, sigma']]: one batched inverse of K bordered with ones, then a
     Sherman-Morrison rank-one update for the switch to sigma and one per
-    exchange, and nothing else.  An inverse of a (nearly) singular K may
+    exchange, and nothing else.  Beside it each support keeps span =
+    [A_S, -A_J], the top m rows of K, copied once from the first bordered
+    matrix; an exchange sets its column k + drop to -a_l*, so that a
+    round's refutation residual r = A_S lam - A_J mu is one batched
+    product span @ (lam, mu).  An inverse of a (nearly) singular K may
     hold inf or NaN, which ends that support's rounds without a verdict;
     numpy's warnings about them are silenced.
     """
@@ -386,6 +402,7 @@ def _exchange(a, sup, root, ref, reach):
     cols = a.T
     verdict = np.zeros(len(sup), dtype=np.int8)
     live = np.arange(len(sup))
+    ref = ref.copy()  # the exchanges write into it
     # |K|_F^2 <= m + 1 + p with unit columns and a +-1 border, so K^-1 below
     # this keeps the Frobenius condition number of K under 1 / _CERT_MIN_EIG_RATIO
     limit = 1.0 / (_CERT_MIN_EIG_RATIO**2 * (2 * m - k + 2))
@@ -393,7 +410,10 @@ def _exchange(a, sup, root, ref, reach):
     # sigma = sign(mu); the border then becomes sigma, the first rank-one
     # update: K gains e_m (0, sigma - 1)', and Sherman-Morrison divides by
     # 1 + (sigma - 1)' mu = sigma' mu = ||mu||_1 >= 1
-    inv = _inverse(_bordered(cols, sup, ref))
+    span = _bordered(cols, sup, ref)
+    inv = _inverse(span)
+    # [A_S, -A_J], the top m rows of K, kept beside its inverse
+    span = span[:, :m].copy()
     border = np.where(inv[:, k:, m] < 0.0, -1.0, 1.0)
     dual = inv[:, :, m].copy()
     row = ((border - 1.0)[:, :, None] * inv[:, k:]).sum(axis=1)
@@ -403,26 +423,26 @@ def _exchange(a, sup, root, ref, reach):
         # (lam, mu) = K^-1 e_m, the null vector of [A_S, -A_J] with sigma' mu
         # = 1, oriented with its border to 1'lam >= 0
         dual = inv[:, :, m]
-        flip = dual[:, :k].sum(axis=1) < 0.0
-        dual[flip] *= -1.0
-        border[flip] *= -1.0
-        lam, mu = dual[:, :k], dual[:, k:]
-        value = lam.sum(axis=1)
+        turn = np.where(dual[:, :k].sum(axis=1) < 0.0, -1.0, 1.0)[:, None]
+        dual *= turn
+        border *= turn
         # K' [w; h] = [1; 0]: A_S' w = 1 and sigma_j a_j' w = h = 1'lam on J,
         # the minimax over J; both verdicts below hold for whatever (lam, mu)
         # and w were computed
         w = inv[:, :k, :m].sum(axis=1)
         corr, sure = _certify(w, a, sup, root)
-        # with r = A_S lam - A_J mu, every w of the dual set has 1'lam <=
-        # ||mu||_1 max_J |a_j' w| + |r| |w|, and a minimizer with L <= 1 has
-        # |A' w|^2 <= n, so |w| <= reach; r is needed only where 1'lam is large
-        bar = (1.0 + _CERT_MARGIN) * np.abs(mu).sum(axis=1)
-        wrong = ~sure & (value > bar) & math.isfinite(reach)
-        if wrong.any():
-            at = np.flatnonzero(wrong)
-            r = np.linalg.norm(np.einsum("ckm,ck->cm", cols[sup[at]], lam[at])
-                               - np.einsum("cpm,cp->cm", cols[ref[at]], mu[at]), axis=1)
-            wrong[at] = value[at] - r * reach > bar[at]
+        wrong = np.zeros_like(sure)
+        if math.isfinite(reach):
+            # with r = A_S lam - A_J mu, every w of the dual set has 1'lam <=
+            # ||mu||_1 max_J |a_j' w| + |r| |w|, and a minimizer with L <= 1
+            # has |A' w|^2 <= n, so |w| <= reach; r is needed only where 1'lam
+            # is large
+            value = dual[:, :k].sum(axis=1)
+            bar = (1.0 + _CERT_MARGIN) * np.abs(dual[:, k:]).sum(axis=1)
+            wrong = ~sure & (value > bar)
+            if wrong.any():
+                r = np.linalg.norm((span @ dual[:, :, None])[:, :, 0], axis=1)
+                wrong &= value - r * reach > bar
         verdict[live[sure]] = 1
         verdict[live[wrong]] = -1
         # exchange: the most violated column l* comes in; a support whose l*
@@ -433,10 +453,11 @@ def _exchange(a, sup, root, ref, reach):
                 & (np.einsum("cij,cij->c", inv, inv) < limit))
         if not keep.any():
             break
-        live, sup, root, ref, border, inv, new = (
-            x[keep] for x in (live, sup, root, ref, border, inv, new))
+        if not keep.all():
+            live, sup, root, ref, border, inv, span, w, new = (
+                x[keep] for x in (live, sup, root, ref, border, inv, span, w, new))
         head = cols[new]
-        sign = np.where((w[keep] * head).sum(axis=1) < 0.0, -1.0, 1.0)
+        sign = np.where((w * head).sum(axis=1) < 0.0, -1.0, 1.0)
         # the dual simplex ratio test: with z = K^-1 [sigma* a_l*; 0], sigma* =
         # sign(a_l*' w), the duals (lam, mu) + theta z with mu_l* = theta sigma*
         # raise 1'lam / ||mu||_1 as theta grows, until the first sigma_j mu_j
@@ -451,10 +472,17 @@ def _exchange(a, sup, root, ref, reach):
         # d = sigma* ((lam, mu) - z)
         d = sign[:, None] * (dual - z)
         q = k + drop
+        span[at, :, q] = -head
         row = inv[at, q] / d[at, q][:, None]
         inv -= d[:, :, None] * row[:, None, :]
         inv[at, q] = row
     return verdict
+
+
+def _outer_products(cols):
+    """The table of outer products a_l a_l', one flattened m x m row per column."""
+    m = cols.shape[1]
+    return (cols[:, :, None] * cols[:, None, :]).reshape(len(cols), m * m)
 
 
 def _dual_screen(a, supports):
@@ -506,12 +534,12 @@ def _dual_screen(a, supports):
     from the Fuchs point's |a_l' w| as first weights (a Lawson batch's
     weights hold up to _CERT_CHUNK x n entries).  Each step sums M over
     blocks of max(1, _CERT_ENTRIES // m^2) columns, a (batch, block) @
-    (block, m^2) product with that
-    block's table of the outer products a_l a_l', built inside the step;
-    so neither a table block nor a batch's M holds more than
-    max(_CERT_ENTRIES, m^2) entries, and when the whole table fits in
-    one block (at most 32 rows and n <= 256, for one) M comes from a
-    single product.
+    (block, m^2) product with that block's table of the outer products
+    a_l a_l', so neither a table block nor a batch's M holds more than
+    max(_CERT_ENTRIES, m^2) entries.  When the whole table fits in one
+    block (at most 32 rows and n <= 256, for one), the sweep builds it
+    once and every step forms M from a single weights @ table product;
+    past that, each step builds its blocks anew, which keeps the budget.
 
     The supports still undecided after the last Lawson step are pooled
     from every batch, and up to _EXCHANGE_ROUNDS exchange rounds run on
@@ -576,6 +604,9 @@ def _dual_screen(a, supports):
     pool = []  # (positions, supports, sigma_min(A_S), reference sets) the Lawson steps left
     p = m - k + 1
     left = [np.concatenate(v) for v in zip(*left)]
+    # a table that fits one block is the same in every Lawson step of the
+    # sweep, so it is built once; past that, each step builds its blocks
+    held = _outer_products(cols) if n <= block and len(left[0]) else None
     for lo in range(0, len(left[0]), lawson):
         live, sup, root, lam = (v[lo:lo + lawson] for v in left)
         a_s = cols[sup]
@@ -587,8 +618,7 @@ def _dual_screen(a, supports):
             # M = delta I + sum over blocks B of weights[:, B] @ (a_l a_l', l in B)
             mat = ridge
             for j in range(0, n, block):
-                part = cols[j:j + block]
-                outer = (part[:, :, None] * part[:, None, :]).reshape(len(part), m * m)
+                outer = _outer_products(cols[j:j + block]) if held is None else held
                 term = (weights[:, j:j + block] @ outer).reshape(-1, m, m)
                 term += mat
                 mat = term

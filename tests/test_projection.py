@@ -182,7 +182,7 @@ def test_full_budget_returns_ones():
 
 def test_budget_errors():
     y = np.zeros(4)
-    for bad in (0.0, -1.0, 4.5):
+    for bad in (0.0, -1.0, 4.5, True, np.True_):
         with pytest.raises(InfeasibleConstraintError):
             project_sbs(y, bad)
 

@@ -724,6 +724,38 @@ def test_certificate_does_not_depend_on_the_chunk_size(monkeypatch):
         assert set(whole.tolist()) == outcomes
 
 
+def _held_table_input(case):
+    """(a, supports) of a _SCREENED_SWEEPS case, or of a 1000-support ug200 insense sweep."""
+    if case in _SCREENED_SWEEPS:
+        return _screen_input(case)
+    phi, subset = _uniform_gaussian_selection()
+    return recovery._unit_columns(phi[subset]), _supports(200, 2, BpConfig(sample_cap=1000))[0]
+
+
+@pytest.mark.parametrize("case", sorted(_SCREENED_SWEEPS) + ["uniform-gaussian-200x200-k2-1000"])
+def test_held_outer_product_table_matches_its_blocks(case, monkeypatch):
+    # the fast path: the whole table a_l a_l' fits one block, and the sweep
+    # builds it once; the slow path: a budget of m^2 n // 3 entries splits it
+    # into blocks that every Lawson step builds anew (and shrinks the batches)
+    a, supports = _held_table_input(case)
+    m, n = a.shape
+    assert n <= recovery._CERT_ENTRIES // m**2
+    builds = []
+    outer = recovery._outer_products
+
+    def counted(cols):
+        builds.append(len(cols))
+        return outer(cols)
+
+    monkeypatch.setattr(recovery, "_outer_products", counted)
+    held = recovery._dual_screen(a, supports)
+    assert builds == [n]
+    builds.clear()
+    monkeypatch.setattr(recovery, "_CERT_ENTRIES", m * m * n // 3)
+    np.testing.assert_array_equal(recovery._dual_screen(a, supports), held)
+    assert len(builds) > 2 and max(builds) < n and sum(builds) % n == 0
+
+
 def test_iteration_limited_sweep_has_no_false_positives(monkeypatch):
     # warm starts from the basis an iteration-limited solve left behind;
     # without the exchange rounds the screen leaves trials to the LP
@@ -1050,21 +1082,43 @@ def test_unrank_matches_lexicographic_order():
     np.testing.assert_array_equal(_unrank(np.arange(len(combos)), 7, 3), combos)
 
 
-@pytest.mark.parametrize("n, k, draws",
-                         [(12, 3, None), (200, 5, 400), (2000, 5, 200), (70, 64, 100)])
-def test_vectorised_unrank_matches_one_rank_at_a_time(n, k, draws):
+_UNRANK_CASES = [(12, 3, None), (200, 5, 400), (2000, 5, 200), (70, 64, 100)]
+
+
+def _unrank_ranks(n, k, draws):
+    """Every rank of C(n, k) when draws is None, else the extreme ranks and draws more."""
     total = math.comb(n, k)
     if draws is None:
-        ranks = np.arange(total)
-    else:
-        # the extreme ranks, then uniform draws; C(2000, 5) is ~2.6e14, and
-        # C(70, 64) is small while C(70, 35) on its way is past int64
-        drawn = np.random.default_rng(n).integers(total, size=draws)
-        ranks = np.sort(np.r_[0, total - 1, drawn])
+        return np.arange(total)
+    # the extreme ranks, then uniform draws; C(2000, 5) is ~2.6e14, and
+    # C(70, 64) is small while C(70, 35) on its way is past int64
+    drawn = np.random.default_rng(n).integers(total, size=draws)
+    return np.sort(np.r_[0, total - 1, drawn])
+
+
+@pytest.mark.parametrize("n, k, draws", _UNRANK_CASES)
+def test_vectorised_unrank_matches_one_rank_at_a_time(n, k, draws):
+    ranks = _unrank_ranks(n, k, draws)
     got = _unrank(ranks, n, k)
     assert got.shape == (len(ranks), k)
     assert [tuple(row) for row in got.tolist()] == [
         _unrank_combination(int(r), n, k) for r in ranks]
+
+
+@pytest.mark.parametrize("n, k, draws", _UNRANK_CASES)
+def test_unrank_takes_its_tables_from_a_read_only_cache(n, k, draws):
+    # one clipped binomial table per support position: the first pass builds
+    # them, the second takes every one from the cache and unranks the same
+    ranks = _unrank_ranks(n, k, draws)
+    expected = [_unrank_combination(int(r), n, k) for r in ranks]
+    recovery._binomials.cache_clear()
+    for hits in (0, k):
+        got = _unrank(ranks, n, k)
+        assert recovery._binomials.cache_info()[:2] == (hits, k)
+        assert [tuple(row) for row in got.tolist()] == expected
+    table = recovery._binomials(n, k, math.comb(n, k))
+    with pytest.raises(ValueError):
+        table[0] = 1
 
 
 def test_report_serialization():
