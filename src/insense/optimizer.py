@@ -150,27 +150,26 @@ class SelectionResult:
 class _StepWork:
     """Work arrays of one run_insense call, shared by its restarts.
 
-    One float64 block holds six n x n arrays and two d x n ones.  grams
+    One float64 block holds six n x n arrays and one d x n array.  grams
     are three Gram slots: grams[0] holds the accepted iterate's Gram,
     gram_matrix writes into grams[1] and a backtrack into grams[2], and
     accept() swaps the slot of an accepted Gram into grams[0], so a write
-    never lands on a Gram still in use.  product holds a Gram product
-    before symmetrization and a backtrack's second term; den and ratio
-    hold those of the last objective evaluation, which was on the Gram
-    `source` (None once the gradient consumed them).  support and
-    weighted hold a Gram's support rows and their weighted copy; the
-    gradient's d x n product reuses support.  scores maps the bytes of a
-    rounded subset to its mu_avg.
+    never lands on a Gram still in use.  product holds the subtracted
+    term of a Gram with negative weights and a backtrack's second term;
+    den and ratio hold those of the last objective evaluation, which was
+    on the Gram `source` (None once the gradient consumed them).
+    weighted holds a Gram's scaled support rows, and the gradient's
+    d x n product reuses it.  scores maps the bytes of a rounded subset
+    to its mu_avg.
     """
 
     def __init__(self, d, n):
-        square, rows = n * n, d * n
-        block = np.empty(6 * square + 2 * rows)
+        square = n * n
+        block = np.empty(6 * square + d * n)
         arrays = [block[i * square:(i + 1) * square].reshape(n, n) for i in range(6)]
         self.grams = arrays[:3]
         self.product, self.den, self.ratio = arrays[3:]
-        self.support = block[6 * square:6 * square + rows].reshape(d, n)
-        self.weighted = block[6 * square + rows:].reshape(d, n)
+        self.weighted = block[6 * square:].reshape(d, n)
         self.source = None
         self.scores = {}
 
@@ -194,28 +193,43 @@ class _StepWork:
 
 
 def gram_matrix(phi, z, *, work=None):
-    """Weighted column Gram matrix phi.T @ diag(z) @ phi, symmetrized.
+    """Weighted column Gram matrix phi.T @ diag(z) @ phi, exactly symmetric.
 
-    Only the rows with a nonzero weight enter the product, so one call
-    costs O(nnz(z) n^2) rather than O(d n^2); the projected weights of a
-    descent are mostly exact zeros.  Any finite z gives the value of the
-    dense formula, up to summation order.  With `work` (a run's
-    _StepWork) the result is written into its Gram slot grams[1].
+    Only the rows with a nonzero weight enter, so one call costs
+    O(nnz(z) n^2) rather than O(d n^2); the projected weights of a
+    descent are mostly exact zeros.  Those rows, each scaled by
+    sqrt(|z_r|), form s, and the Gram is s.T @ s: numpy runs a product of
+    an array with its own transpose as BLAS SYRK, which computes one
+    triangle (half the multiply-adds of a general product) and mirrors
+    it, so the result needs no symmetrizing pass.  Rows of negative
+    weight, which only public callers pass (a descent's weights are never
+    negative), are gathered last, and their own product is subtracted.
+    Any finite z gives the value of the dense formula, up to rounding.
+    With `work` (a run's _StepWork) the scaled rows go into its weighted
+    array, the subtracted product into product and the result into its
+    Gram slot grams[1].
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (phi.shape[0],):
         raise ValueError(f"weights need shape ({phi.shape[0]},), got {z.shape}")
     rows = np.flatnonzero(z)
-    support_out = weighted_out = product_out = gram_out = None
+    weights = z[rows]
+    negative = weights < 0.0
+    order = np.argsort(negative, kind="stable")
+    rows, weights = rows[order], weights[order]
+    scaled_out = product_out = gram_out = None
     if work is not None:
-        support_out, weighted_out = work.support[: rows.size], work.weighted[: rows.size]
-        product_out, gram_out = work.product, work.gram_slot()
+        scaled_out, product_out = work.weighted[: rows.size], work.product
+        gram_out = work.gram_slot()
     # rows are valid indices; mode="raise" would buffer `out` in a new array
-    support = np.take(phi, rows, axis=0, out=support_out, mode="clip")
-    weighted = np.multiply(z[rows, None], support, out=weighted_out)
-    g = np.matmul(support.T, weighted, out=product_out)
-    gram = np.add(g, g.T, out=gram_out)
-    gram *= 0.5
+    scaled = np.take(phi, rows, axis=0, out=scaled_out, mode="clip")
+    scaled *= np.sqrt(np.abs(weights))[:, None]
+    split = rows.size - np.count_nonzero(negative)
+    plus, minus = scaled[:split], scaled[split:]
+    # one array times its own transpose: numpy calls SYRK
+    gram = np.matmul(plus.T, plus, out=gram_out)
+    if minus.size:
+        gram -= np.matmul(minus.T, minus, out=product_out)
     return gram
 
 
@@ -283,9 +297,8 @@ def weight_gradient(phi, gram, *, work=None):
     the n x n and d x n steps run in its arrays (see gram_gradient).
     """
     grad = gram_gradient(gram, work=work)
-    prod = np.matmul(phi, grad, out=None if work is None else work.support)
-    prod *= phi
-    return prod.sum(axis=1)
+    prod = np.matmul(phi, grad, out=None if work is None else work.weighted)
+    return np.einsum("ij,ij->i", prod, phi)
 
 
 def _round_to_subset(z, m):

@@ -131,6 +131,23 @@ def test_metric_report_matches_parts():
     assert report.condition_number == condition_number(phi)
 
 
+def test_metrics_are_invariant_under_permutations_and_column_sign_flips():
+    # every metric is a function of the column pairs or the singular values,
+    # which a row or column permutation and a column sign flip leave alone
+    rng = np.random.default_rng(43)
+    for d, n in ((10, 40), (40, 80), (30, 20)):
+        phi = rng.standard_normal((d, n))
+        transformed = (
+            phi[rng.permutation(d)],
+            phi[:, rng.permutation(n)],
+            phi * rng.choice([-1.0, 1.0], n),
+        )
+        for metric in (mu_avg, mu_max, frame_potential, condition_number):
+            expected = metric(phi)
+            for other in transformed:
+                assert metric(other) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_extract_submatrix_copies_selected_rows():
     phi = np.arange(12.0).reshape(4, 3)
     sub = extract_submatrix(phi, [1, 3])
