@@ -90,9 +90,12 @@ def manifest(spec):
 def save_matrix(path, phi, header=None):
     """Write `phi` as CSV with full double precision (%.17g round-trips).
 
-    `header`, when given, becomes a single leading '#' comment line.
+    `header`, when given, becomes a single leading '#' comment line, so
+    it must not contain a line break (load_matrix reads one such line).
     """
     phi = as_sensing_matrix(phi)
+    if header and header.splitlines() != [header]:
+        raise ValueError(f"header must be a single line, got {header!r}")
     with open(path, "w") as fh:
         if header:
             fh.write(f"# {header}\n")

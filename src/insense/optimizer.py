@@ -15,7 +15,8 @@ Each step projects z - s * grad onto the set once and forms the Gram of
 that end point p once.  The line search then backtracks along the segment
 z + t (p - z), t = 1, 1/2, 1/4, ..., which stays feasible because the set
 is convex.  G is linear in z, so the Gram of a segment point is
-(1 - t) G(z) + t G(p): a backtrack costs one O(n^2) combination and one
+(1 - t) G(z) + t G(p), and halving t averages the last candidate's Gram
+with G(z): a backtrack costs one O(n^2) in-place average and one
 objective pass, with no projection and no new Gram (monotone spectral
 projected gradient, Birgin, Martinez & Raydan, SIAM J. Optim. 2000).
 
@@ -43,6 +44,7 @@ last and starts from those arrays instead of forming them again.
 import numpy as np
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 from .exceptions import NumericalFailureError
 from .metrics import _unit_rms, as_integer, as_sensing_matrix, mu_avg, validate_budget
@@ -51,10 +53,9 @@ from .seeding import seeded_rng
 
 INIT_MODES = ("uniform", "uniform-plus-jitter")
 # line search: first trial step (and cap of every Barzilai-Borwein step),
-# shrink factor of the segment fraction t per backtrack, and backtracks
-# along the segment before the step counts as no descent
+# and backtracks along the segment, each halving its fraction t, before
+# the step counts as no descent
 _LS_INIT_STEP = 1.0
-_LS_SHRINK = 0.5
 _MAX_BACKTRACKS = 50
 # the descent stops when the relative objective change drops below _REL_TOL
 _REL_TOL = 1e-7
@@ -75,8 +76,8 @@ class InsenseConfig:
     _REL_TOL (1e-7), when no step descends, when the best rounding has
     not improved for _PATIENCE (10) accepted steps, or after max_iters
     iterations; the result's stop_reason says which.  max_iters, restarts
-    and seed must be integers (bools are rejected), and jitter_scale
-    finite and non-negative.
+    and seed must be integers (bools are rejected), and jitter_scale a
+    finite non-negative real number (bools and strings are rejected).
     """
 
     max_iters: int = 5000
@@ -86,10 +87,9 @@ class InsenseConfig:
     restarts: int = 1
 
     def __post_init__(self):
-        if not 0.0 <= self.jitter_scale < np.inf:
-            raise ValueError(
-                f"jitter_scale must be finite and non-negative, got {self.jitter_scale!r}"
-            )
+        scale = self.jitter_scale
+        if isinstance(scale, bool) or not isinstance(scale, Real) or not 0.0 <= scale < np.inf:
+            raise ValueError(f"jitter_scale must be finite and non-negative, got {scale!r}")
         as_integer(self.max_iters, "max_iters", least=1)
         as_integer(self.restarts, "restarts", least=1)
         as_integer(self.seed, "seed")
@@ -128,7 +128,7 @@ class SelectionResult:
     objective_evals counts the objective evaluations of the whole call,
     rejected line-search candidates and every restart included.  Only the
     first trial of a step forms a Gram matrix (over the nonzero weights of
-    the projected point); each backtrack combines two Grams in O(n^2).
+    the projected point); each backtrack averages two Grams in O(n^2).
     """
 
     subset: np.ndarray
@@ -150,26 +150,24 @@ class SelectionResult:
 class _StepWork:
     """Work arrays of one run_insense call, shared by its restarts.
 
-    One float64 block holds six n x n arrays and one d x n array.  grams
-    are three Gram slots: grams[0] holds the accepted iterate's Gram,
-    gram_matrix writes into grams[1] and a backtrack into grams[2], and
-    accept() swaps the slot of an accepted Gram into grams[0], so a write
-    never lands on a Gram still in use.  product holds the subtracted
-    term of a Gram with negative weights and a backtrack's second term;
-    den and ratio hold those of the last objective evaluation, which was
-    on the Gram `source` (None once the gradient consumed them).
-    weighted holds a Gram's scaled support rows, and the gradient's
-    d x n product reuses it.  scores maps the bytes of a rounded subset
-    to its mu_avg.
+    One float64 block holds four n x n arrays and one d x n array.  grams
+    are two Gram slots: grams[0] holds the accepted iterate's Gram, and
+    grams[1] the candidate, which gram_matrix writes and each backtrack
+    halves toward grams[0] in place; accept() swaps the two, so a write
+    never lands on the accepted Gram.  den and ratio hold those of the
+    last objective evaluation, which was on the Gram `source` (None once
+    the gradient consumed them).  weighted holds a Gram's scaled support
+    rows, and the gradient's d x n product reuses it.  scores maps the
+    bytes of a rounded subset to its mu_avg.
     """
 
     def __init__(self, d, n):
         square = n * n
-        block = np.empty(6 * square + d * n)
-        arrays = [block[i * square:(i + 1) * square].reshape(n, n) for i in range(6)]
-        self.grams = arrays[:3]
-        self.product, self.den, self.ratio = arrays[3:]
-        self.weighted = block[6 * square:].reshape(d, n)
+        block = np.empty(4 * square + d * n)
+        arrays = [block[i * square:(i + 1) * square].reshape(n, n) for i in range(4)]
+        self.grams = arrays[:2]
+        self.den, self.ratio = arrays[2:]
+        self.weighted = block[4 * square:].reshape(d, n)
         self.source = None
         self.scores = {}
 
@@ -178,18 +176,18 @@ class _StepWork:
         self.source = None
         return self.grams[1]
 
-    def segment(self, gram, gram_end, t):
-        """The backtrack Gram (1 - t) gram + t gram_end, formed in grams[2]."""
+    def halve(self, gram):
+        """The next backtrack's Gram (grams[1] + gram) / 2, formed in grams[1]."""
         self.source = None
-        cand = np.multiply(gram, 1.0 - t, out=self.grams[2])
-        cand += np.multiply(gram_end, t, out=self.product)
+        cand = self.grams[1]
+        cand += gram
+        cand *= 0.5
         return cand
 
     def accept(self, gram):
-        """Keep an accepted Gram: its slot becomes grams[0]."""
-        for i in (1, 2):
-            if self.grams[i] is gram:
-                self.grams[0], self.grams[i] = gram, self.grams[0]
+        """Keep an accepted Gram: grams[1] becomes grams[0]."""
+        if gram is self.grams[1]:
+            self.grams[0], self.grams[1] = gram, self.grams[0]
 
 
 def gram_matrix(phi, z, *, work=None):
@@ -198,39 +196,28 @@ def gram_matrix(phi, z, *, work=None):
     Only the rows with a nonzero weight enter, so one call costs
     O(nnz(z) n^2) rather than O(d n^2); the projected weights of a
     descent are mostly exact zeros.  Those rows, each scaled by
-    sqrt(|z_r|), form s, and the Gram is s.T @ s: numpy runs a product of
+    sqrt(z_r), form s, and the Gram is s.T @ s: numpy runs a product of
     an array with its own transpose as BLAS SYRK, which computes one
     triangle (half the multiply-adds of a general product) and mirrors
-    it, so the result needs no symmetrizing pass.  Rows of negative
-    weight, which only public callers pass (a descent's weights are never
-    negative), are gathered last, and their own product is subtracted.
-    Any finite z gives the value of the dense formula, up to rounding.
-    With `work` (a run's _StepWork) the scaled rows go into its weighted
-    array, the subtracted product into product and the result into its
-    Gram slot grams[1].
+    it, so the result needs no symmetrizing pass.  Selection weights lie
+    in [0, 1], so a negative weight raises ValueError.  With `work` (a
+    run's _StepWork) the scaled rows go into its weighted array and the
+    result into its Gram slot grams[1].
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (phi.shape[0],):
         raise ValueError(f"weights need shape ({phi.shape[0]},), got {z.shape}")
+    if np.any(z < 0.0):
+        raise ValueError(f"weights must be non-negative, got a minimum of {z.min():g}")
     rows = np.flatnonzero(z)
-    weights = z[rows]
-    negative = weights < 0.0
-    order = np.argsort(negative, kind="stable")
-    rows, weights = rows[order], weights[order]
-    scaled_out = product_out = gram_out = None
+    scaled_out = gram_out = None
     if work is not None:
-        scaled_out, product_out = work.weighted[: rows.size], work.product
-        gram_out = work.gram_slot()
+        scaled_out, gram_out = work.weighted[: rows.size], work.gram_slot()
     # rows are valid indices; mode="raise" would buffer `out` in a new array
     scaled = np.take(phi, rows, axis=0, out=scaled_out, mode="clip")
-    scaled *= np.sqrt(np.abs(weights))[:, None]
-    split = rows.size - np.count_nonzero(negative)
-    plus, minus = scaled[:split], scaled[split:]
+    scaled *= np.sqrt(z[rows])[:, None]
     # one array times its own transpose: numpy calls SYRK
-    gram = np.matmul(plus.T, plus, out=gram_out)
-    if minus.size:
-        gram -= np.matmul(minus.T, minus, out=product_out)
-    return gram
+    return np.matmul(scaled.T, scaled, out=gram_out)
 
 
 def _den_ratio(gram, work):
@@ -256,6 +243,7 @@ def coherence_objective(phi, z):
     """Smoothed average-squared-coherence objective at weights `z`.
 
     Finite for any finite phi and any z in the box, including z = 0.
+    Weights must be non-negative (see gram_matrix).
     """
     return _objective_from_gram(gram_matrix(as_sensing_matrix(phi), z))
 
@@ -353,8 +341,7 @@ def _run_single(phi, m, z, max_iters, work, callback=None):
         step = _bb_step(z - z_prev, grad - grad_prev, step, _LS_INIT_STEP)
         # backtracks move along the segment from z to end (module docstring)
         end = project_sbs(z - step * grad, m).z
-        gram_end = gram_matrix(phi, end, work=work)
-        t, gram_cand = 1.0, gram_end
+        t, gram_cand = 1.0, gram_matrix(phi, end, work=work)
         for _ in range(_MAX_BACKTRACKS):
             f_cand = _objective_from_gram(gram_cand, work=work)
             evals += 1
@@ -365,8 +352,8 @@ def _run_single(phi, m, z, max_iters, work, callback=None):
                 )
             if f_cand <= f:
                 break
-            t *= _LS_SHRINK
-            gram_cand = work.segment(gram, gram_end, t)
+            t *= 0.5
+            gram_cand = work.halve(gram)
         else:
             # no step at resolvable sizes descends; treat as converged
             stop_reason = "no_descent"

@@ -140,6 +140,16 @@ def test_csv_header_and_blank_lines(tmp_path):
     np.testing.assert_array_equal(load_matrix(path), phi)
 
 
+def test_header_with_a_line_break_is_refused(tmp_path):
+    # load_matrix skips one '#' line; a second header line would be read as data
+    phi = np.array([[1.0, 2.0], [3.0, 4.0]])
+    path = tmp_path / "m.csv"
+    for header in ("a\nb", "a\r\nb", "a\rb", "a\n", "a\u2028b"):
+        with pytest.raises(ValueError, match="single line"):
+            save_matrix(path, phi, header=header)
+        assert not path.exists()
+
+
 def test_load_reports_ragged_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n3.0\n")

@@ -62,7 +62,6 @@ def test_gram_matrix_matches_outer_sum():
     weights = (
         rng.uniform(0.0, 1.0, 20),  # dense
         np.where(mask, rng.uniform(size=20), 0.0),  # sparse
-        np.where(mask, rng.uniform(-1.0, 1.0, 20), 0.0),  # negative entries
     )
     for z in weights:
         expected = sum(z[k] * np.outer(phi[k], phi[k]) for k in range(20))
@@ -77,8 +76,6 @@ def test_gram_matrix_is_exactly_symmetric_with_and_without_work():
     mask = rng.uniform(size=60) < 0.6
     weights = (
         np.where(mask, rng.uniform(size=60), 0.0),  # a descent's weights
-        np.where(mask, rng.uniform(-1.0, 1.0, 60), 0.0),  # mixed signs
-        -np.where(mask, rng.uniform(size=60), 0.0),  # negative only
         np.eye(60)[7],  # one row
     )
     for z in weights:
@@ -94,6 +91,12 @@ def test_gram_matrix_rejects_misshaped_weights():
     for z in (np.ones(5), np.ones(7), np.ones((6, 1)), np.float64(1.0)):
         with pytest.raises(ValueError):
             gram_matrix(phi, z)
+    # selection weights lie in [0, 1]: negative and mixed-sign weights are refused
+    for z in (np.full(6, -0.5), np.array([0.5, -1e-300, 0.0, 1.0, 0.2, 0.0])):
+        with pytest.raises(ValueError, match="non-negative"):
+            gram_matrix(phi, z)
+        with pytest.raises(ValueError, match="non-negative"):
+            coherence_objective(phi, z)
 
 
 def _dense_gram(phi, z, *, work=None):
@@ -143,10 +146,10 @@ def _reference_descent(phi, m, cfg):
     """run_insense with a step of fresh arrays, as before the work arrays.
 
     Every Gram, objective and backtrack combination allocates its arrays,
-    a Gram is s.T @ s over the support rows scaled by sqrt(z) (the
-    descent's weights are never negative), den is np.outer(diag, diag) +
-    _EPS2, the gradient is the full gram_gradient, and every rounding is
-    scored.  Each restart starts from the uniform point m/d, jittered and
+    a Gram is s.T @ s over the support rows scaled by sqrt(z), a
+    backtrack's Gram averages the last candidate's with the accepted one,
+    den is np.outer(diag, diag) + _EPS2, the gradient is the full
+    gram_gradient, and every rounding is scored.  Each restart starts from the uniform point m/d, jittered and
     projected for restart r > 0 or init "uniform-plus-jitter" when
     jitter_scale > 0.  Returns the reported restart's (subset,
     subset_iteration, subset_mu_avg, final_weights, trace, stop_reason),
@@ -185,15 +188,14 @@ def _reference_descent(phi, m, cfg):
             if iterations > 1:
                 step = optimizer._bb_step(z - z_prev, grad - grad_prev, step, optimizer._LS_INIT_STEP)
             end = project_sbs(z - step * grad, m).z
-            gram_end = gram_of(end)
-            t, gram_cand = 1.0, gram_end
+            t, gram_cand = 1.0, gram_of(end)
             for _ in range(optimizer._MAX_BACKTRACKS):
                 f_cand = objective(gram_cand)
                 evals += 1
                 if f_cand <= f:
                     break
-                t *= optimizer._LS_SHRINK
-                gram_cand = (1.0 - t) * gram + t * gram_end
+                t *= 0.5
+                gram_cand = (gram_cand + gram) * 0.5
             else:
                 stop_reason = "no_descent"
                 break
@@ -292,19 +294,18 @@ def test_step_layers_in_work_arrays_allocate_no_square_array():
     rng = np.random.default_rng(71)
     phi = rng.standard_normal((d, n))
     work = optimizer._StepWork(d, n)
-    plus = np.where(rng.uniform(size=d) < 0.7, rng.uniform(size=d), 0.0)
-    mixed = np.where(rng.uniform(size=d) < 0.7, rng.uniform(-1.0, 1.0, d), 0.0)
-    gram = gram_matrix(phi, plus, work=work)
+    z = np.where(rng.uniform(size=d) < 0.7, rng.uniform(size=d), 0.0)
+    gram = gram_matrix(phi, z, work=work)
     work.accept(gram)
-    peaks = {
-        "gram": _traced_peak(lambda: gram_matrix(phi, plus, work=work)),
-        "mixed-sign gram": _traced_peak(lambda: gram_matrix(phi, mixed, work=work)),
-    }
+    peaks = {"gram": _traced_peak(lambda: gram_matrix(phi, z, work=work))}
     end = work.grams[1]
     peaks["objective"] = _traced_peak(lambda: optimizer._objective_from_gram(end, work=work))
     peaks["gradient"] = _traced_peak(lambda: weight_gradient(phi, gram, work=work))
-    peaks["segment"] = _traced_peak(lambda: work.segment(gram, end, 0.5))
+    peaks["halve"] = _traced_peak(lambda: work.halve(gram))
     assert all(peak < 8 * n * n for peak in peaks.values()), peaks
+    # the work itself is one block: two Gram slots, den, ratio and weighted
+    assert work.grams[0].base is work.weighted.base
+    assert work.weighted.base.size == 4 * n * n + d * n
 
 
 def _restart_paths(phi, m, cfg):
@@ -817,6 +818,12 @@ def test_config_validation():
     for value in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="jitter_scale"):
             InsenseConfig(jitter_scale=value)
+    # a bool is not a scale, and a string used to fail inside numpy's comparison
+    for value in (True, np.bool_(True), "0.1", None):
+        with pytest.raises(ValueError, match="jitter_scale"):
+            InsenseConfig(jitter_scale=value)
+    assert InsenseConfig(jitter_scale=np.float32(0.5)).jitter_scale == 0.5
+    assert InsenseConfig(jitter_scale=2).jitter_scale == 2
 
 
 def test_input_validation():

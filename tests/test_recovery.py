@@ -401,6 +401,27 @@ def test_screen_verdicts_do_not_depend_on_the_support_order(case):
                                   recovery._dual_screen(a, supports)[order])
 
 
+@pytest.mark.parametrize("kind, signed", [("gaussian", False), ("uniform01", False),
+                                          ("bernoulli01", False), ("bernoulli01", True)])
+def test_screen_verdicts_follow_the_symmetries_of_basis_pursuit(kind, signed):
+    # whether 1_S is the unique minimum-l1 point is unchanged by a column
+    # permutation (S mapped along), a row permutation and an orthogonal Q
+    # on the left, so no support is certified on one side and refuted on
+    # the other; the screen may leave a support undecided on one side only
+    # (on signed Bernoulli entries it does, 2, 12 and 9 times)
+    a = generate(EnsembleSpec(kind, d=10, n=40, seed=1, signed=signed))
+    supports = _supports(40, 2, BpConfig())[0]
+    rng = np.random.default_rng(0)
+    cols, rows = rng.permutation(40), rng.permutation(10)
+    q = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+    base = recovery._dual_screen(recovery._unit_columns(a), supports)
+    # column j of a[:, cols] is column cols[j] of a
+    moved = np.sort(np.argsort(cols)[supports], axis=1)
+    for b, sup in ((a[:, cols], moved), (a[rows], supports), (q @ a, supports)):
+        verdicts = recovery._dual_screen(recovery._unit_columns(b), sup)
+        assert not np.any(base * verdicts < 0)
+
+
 def test_exchange_verdicts_hold_for_an_inexact_dual(monkeypatch):
     # bias lam in (lam, mu), the last column of every inverse the exchange
     # takes of its bordered matrices [[A_S, -A_J], [0, sigma']] (the rank-one
