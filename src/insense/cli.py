@@ -23,20 +23,14 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .datagen import KINDS, EnsembleSpec, generate, load_matrix, manifest, save_matrix
 from .exceptions import InsenseError
 from .experiment import SELECTORS, configure, resolve_config, run_benchmark, write_outputs
-from .metrics import as_whole_number, extract_submatrix, metric_report, validate_subset
+from .metrics import as_whole_number, extract_submatrix, metric_report
 from .optimizer import INIT_MODES, InsenseConfig, SelectionResult
 from .recovery import BpConfig, evaluate_recovery
 
 OUTDIR_ENV = "INSENSE_OUTDIR"
-
-
-class _UsageError(Exception):
-    """Flag combinations that argparse alone cannot express."""
 
 
 def _positive_int(text):
@@ -111,8 +105,9 @@ def _add_subset_flags(parser):
 
 
 def _resolve_spec(args):
+    # flag combinations that argparse alone cannot express
     if args.d is None or args.n is None:
-        raise _UsageError("--ensemble requires --d and --n")
+        build_parser().error("--ensemble requires --d and --n")
     try:
         return EnsembleSpec(
             args.ensemble,
@@ -123,7 +118,7 @@ def _resolve_spec(args):
             signed=args.signed,
         )
     except ValueError as exc:
-        raise _UsageError(str(exc))
+        build_parser().error(str(exc))
 
 
 def _load_phi(args):
@@ -134,7 +129,8 @@ def _load_phi(args):
     return generate(spec), {"ensemble": dataclasses.asdict(spec)}
 
 
-def _resolve_subset(args, d):
+def _resolve_subset(args):
+    """The sorted --subset or --selection indices, or None; the callee validates them."""
     if args.selection is not None:
         with open(args.selection, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -145,12 +141,8 @@ def _resolve_subset(args, d):
         if None in subset:
             raise InsenseError(f"non-integer entries in 'indices' of {args.selection}")
         subset.sort()
-    elif args.subset is not None:
-        subset = args.subset
-    else:
-        return None
-    validate_subset(subset, d)
-    return subset
+        return subset
+    return args.subset
 
 
 def cmd_generate(args):
@@ -198,7 +190,7 @@ def cmd_select(args):
 
 def cmd_metrics(args):
     phi, source = _load_phi(args)
-    subset = _resolve_subset(args, phi.shape[0])
+    subset = _resolve_subset(args)
     sub = phi if subset is None else extract_submatrix(phi, subset)
     payload = {
         "matrix": source,
@@ -213,11 +205,11 @@ def cmd_metrics(args):
 
 def cmd_recover(args):
     phi, source = _load_phi(args)
-    subset = _resolve_subset(args, phi.shape[0])
+    subset = _resolve_subset(args)
     if subset is None:
         subset = list(range(phi.shape[0]))
     cfg = BpConfig(seed=args.seed, sample_cap=args.sample_cap)
-    report = evaluate_recovery(phi, np.asarray(subset), args.k, cfg)
+    report = evaluate_recovery(phi, subset, args.k, cfg)
     payload = {
         "matrix": source,
         "subset": subset,
@@ -305,12 +297,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        parser.error(str(exc))
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 1

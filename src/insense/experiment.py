@@ -111,6 +111,13 @@ def _distinct_positive(values, what):
     return values
 
 
+def _path(value, what, base_dir):
+    """Config path `value` under `base_dir`; os.path.join keeps an absolute one as it is."""
+    if not isinstance(value, str):
+        raise InsenseError(f"{what} must be a path, got {value!r}")
+    return os.path.join(base_dir, value)
+
+
 def resolve_config(raw, base_dir=".", output_dir="."):
     """Validate a benchmark config and fill in defaults.
 
@@ -139,12 +146,7 @@ def resolve_config(raw, base_dir=".", output_dir="."):
     if unknown:
         raise InsenseError(f"unknown matrix keys: {sorted(unknown)}")
     if "file" in matrix:
-        path = matrix["file"]
-        if not isinstance(path, str):
-            raise InsenseError(f"matrix 'file' must be a path, got {path!r}")
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        matrix = {"file": path}
+        matrix = {"file": _path(matrix["file"], "matrix 'file'", base_dir)}
     else:
         try:
             matrix = asdict(EnsembleSpec(**matrix))
@@ -184,11 +186,7 @@ def resolve_config(raw, base_dir=".", output_dir="."):
         raise InsenseError("formats must be a non-empty subset of ['csv', 'json']")
 
     if raw.get("output_dir") is not None:
-        output_dir = raw["output_dir"]
-        if not isinstance(output_dir, str):
-            raise InsenseError(f"output_dir must be a path, got {output_dir!r}")
-        if not os.path.isabs(output_dir):
-            output_dir = os.path.join(base_dir, output_dir)
+        output_dir = _path(raw["output_dir"], "output_dir", base_dir)
     return {
         "matrix": matrix,
         "seed": as_integer(raw.get("seed", 0), "seed"),

@@ -199,14 +199,18 @@ def gram_matrix(phi, z, *, work=None):
     sqrt(z_r), form s, and the Gram is s.T @ s: numpy runs a product of
     an array with its own transpose as BLAS SYRK, which computes one
     triangle (half the multiply-adds of a general product) and mirrors
-    it, so the result needs no symmetrizing pass.  Selection weights lie
-    in [0, 1], so a negative weight raises ValueError.  With `work` (a
-    run's _StepWork) the scaled rows go into its weighted array and the
-    result into its Gram slot grams[1].
+    it, so the result needs no symmetrizing pass.  phi is taken as a
+    float array (a float64 array as it is).  Selection weights lie in
+    [0, 1], so a NaN, infinite or negative weight raises ValueError.
+    With `work` (a run's _StepWork) the scaled rows go into its weighted
+    array and the result into its Gram slot grams[1].
     """
+    phi = np.asarray(phi, dtype=float)
     z = np.asarray(z, dtype=float)
     if z.shape != (phi.shape[0],):
         raise ValueError(f"weights need shape ({phi.shape[0]},), got {z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("weights must be finite")
     if np.any(z < 0.0):
         raise ValueError(f"weights must be non-negative, got a minimum of {z.min():g}")
     rows = np.flatnonzero(z)
@@ -243,7 +247,7 @@ def coherence_objective(phi, z):
     """Smoothed average-squared-coherence objective at weights `z`.
 
     Finite for any finite phi and any z in the box, including z = 0.
-    Weights must be non-negative (see gram_matrix).
+    Weights must be finite and non-negative (see gram_matrix).
     """
     return _objective_from_gram(gram_matrix(as_sensing_matrix(phi), z))
 

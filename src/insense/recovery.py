@@ -58,7 +58,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .exceptions import SolverFailureError
-from .metrics import as_integer, as_sensing_matrix, as_whole_number, validate_subset
+from .metrics import as_integer, as_whole_number, extract_submatrix
 from .seeding import seeded_rng
 
 # dual screen of a sweep: the most supports per batched solve, the least
@@ -688,14 +688,13 @@ def evaluate_recovery(phi, subset, k, cfg=None, keep_trials=False):
         increasing list of whole numbers in [0, d).
     """
     cfg = cfg or BpConfig()
-    phi = as_sensing_matrix(phi)
-    d, n = phi.shape
-    idx = validate_subset(subset, d)
+    rows = extract_submatrix(phi, subset)
+    n = rows.shape[1]
     whole = as_whole_number(k)
     if whole is None or not 1 <= whole < n:
         raise ValueError(f"sparsity k={k!r} must be an integer in [1, {n})")
     k = whole
-    a = _unit_columns(phi[idx])
+    a = _unit_columns(rows)
     supports, sampled = _supports(n, k, cfg)
     verdicts = _dual_screen(a, supports)
     # the screen's verdicts in bulk, and the LP trials fill in their own

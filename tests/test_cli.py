@@ -461,14 +461,14 @@ def test_failed_cells_land_in_the_error_column():
     # C(40, 20) exceeds the exhaustive limit; k = 8 is no sparsity on 8 columns
     cfg = experiment.resolve_config({
         "matrix": {"kind": "gaussian", "d": 40, "n": 8},
-        "budgets": [4, 20],
+        "budgets": [2, 20],
         "sparsities": [1, 8],
         "selectors": [{"method": "exhaustive-mu-avg"}, {"method": "random"}],
         "sample_cap": 5,
     })
     rows = experiment.run_benchmark(cfg)
     assert [(r["selector"], r["m"]) for r in rows] == [
-        ("exhaustive-mu-avg", 4), ("exhaustive-mu-avg", 20), ("random", 4), ("random", 20)
+        ("exhaustive-mu-avg", 2), ("exhaustive-mu-avg", 20), ("random", 2), ("random", 20)
     ]
     failed = rows.pop(1)
     assert failed["error"].startswith("select: (40 choose 20)")

@@ -99,6 +99,24 @@ def test_gram_matrix_rejects_misshaped_weights():
             coherence_objective(phi, z)
 
 
+def test_gram_matrix_rejects_non_finite_weights():
+    # was a NaN objective: a NaN weight passes z < 0 and enters the support
+    phi = generate(EnsembleSpec("gaussian", d=6, n=4, seed=0))
+    for bad in (np.nan, np.inf, -np.inf):
+        z = np.array([0.5, bad, 0.0, 1.0, 0.2, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            gram_matrix(phi, z)
+        with pytest.raises(ValueError, match="finite"):
+            coherence_objective(phi, z)
+
+
+def test_gram_matrix_takes_a_nested_list():
+    # was AttributeError: 'list' object has no attribute 'shape'
+    phi = generate(EnsembleSpec("gaussian", d=6, n=4, seed=0))
+    z = np.array([0.5, 0.1, 0.0, 1.0, 0.2, 0.0])
+    np.testing.assert_array_equal(gram_matrix(phi.tolist(), z), gram_matrix(phi, z))
+
+
 def _dense_gram(phi, z, *, work=None):
     """phi.T @ diag(z) @ phi over every row, zero weights included.
 
