@@ -18,7 +18,6 @@ from .exceptions import (
     InsenseError,
     InvalidSubsetError,
     MatrixParseError,
-    NumericalFailureError,
     SolverFailureError,
 )
 from .metrics import (
@@ -55,7 +54,6 @@ __all__ = [
     "InvalidSubsetError",
     "MatrixParseError",
     "MetricReport",
-    "NumericalFailureError",
     "ProjectionResult",
     "RecoveryReport",
     "SelectionResult",

@@ -158,8 +158,8 @@ def cmd_generate(args):
 
 def cmd_select(args):
     phi, source = _load_phi(args)
-    # the options are the option flags given, e.g. --max-iters as max_iters;
-    # configure rejects one the method does not take
+    # the options are the option flags given; configure rejects one the
+    # method does not take
     names = set().union(*(s.options for s in SELECTORS.values()))
     options = {k: v for k, v in vars(args).items() if k in names and v is not None}
     settings = configure(args.method, options)
@@ -262,7 +262,6 @@ def build_parser():
     # no defaults here: InsenseConfig holds them, and only flags given become options
     insense_only = "insense only (default {})".format
     p.add_argument("--restarts", type=_positive_int, help=insense_only(InsenseConfig.restarts))
-    p.add_argument("--max-iters", type=_positive_int, help=insense_only(InsenseConfig.max_iters))
     p.add_argument("--init", choices=INIT_MODES, help=insense_only(InsenseConfig.init))
     p.add_argument("--out", help="output JSON path (default: selection.json in the output dir)")
     p.add_argument("--outdir", help=f"output directory (default: ${OUTDIR_ENV} or '.')")

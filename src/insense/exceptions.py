@@ -17,14 +17,6 @@ class ExhaustiveLimitError(InsenseError):
     """(d choose m) exceeds the configured enumeration budget."""
 
 
-class NumericalFailureError(InsenseError):
-    """Optimizer encountered a non-finite objective value."""
-
-    def __init__(self, message, iteration=0):
-        super().__init__(message)
-        self.iteration = iteration
-
-
 class SolverFailureError(InsenseError):
     """Basis-pursuit solve did not reach a feasible optimum."""
 

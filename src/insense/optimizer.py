@@ -46,7 +46,6 @@ import numpy as np
 from dataclasses import dataclass, field
 from numbers import Real
 
-from .exceptions import NumericalFailureError
 from .metrics import _unit_rms, as_integer, as_sensing_matrix, mu_avg, validate_budget
 from .projection import project_sbs
 from .seeding import seeded_rng
@@ -59,9 +58,10 @@ _LS_INIT_STEP = 1.0
 _MAX_BACKTRACKS = 50
 # the descent stops when the relative objective change drops below _REL_TOL
 _REL_TOL = 1e-7
-_REL_FLOOR = 1e-30  # denominator floor for the relative-change stop rule
 # accepted steps without a new best rounding before the descent stops
 _PATIENCE = 10
+# iteration cap of one descent
+_MAX_ITERS = 5000
 # smoothing constants of the objective's column-pair ratios; they are
 # absolute, so run_insense scales phi to unit RMS first
 _EPS1 = 1e-9
@@ -74,13 +74,12 @@ class InsenseConfig:
 
     The run stops when the relative objective change drops below
     _REL_TOL (1e-7), when no step descends, when the best rounding has
-    not improved for _PATIENCE (10) accepted steps, or after max_iters
-    iterations; the result's stop_reason says which.  max_iters, restarts
-    and seed must be integers (bools are rejected), and jitter_scale a
-    finite non-negative real number (bools and strings are rejected).
+    not improved for _PATIENCE (10) accepted steps, or after _MAX_ITERS
+    (5000) iterations; the result's stop_reason says which.  restarts and
+    seed must be integers (bools are rejected), and jitter_scale a finite
+    non-negative real number (bools and strings are rejected).
     """
 
-    max_iters: int = 5000
     init: str = "uniform"
     jitter_scale: float = 1e-3
     seed: int = 0
@@ -90,7 +89,6 @@ class InsenseConfig:
         scale = self.jitter_scale
         if isinstance(scale, bool) or not isinstance(scale, Real) or not 0.0 <= scale < np.inf:
             raise ValueError(f"jitter_scale must be finite and non-negative, got {scale!r}")
-        as_integer(self.max_iters, "max_iters", least=1)
         as_integer(self.restarts, "restarts", least=1)
         as_integer(self.seed, "seed")
         if self.init not in INIT_MODES:
@@ -116,7 +114,7 @@ class SelectionResult:
     step at resolvable sizes lowered the objective), "stalled" (_PATIENCE
     accepted steps passed without a new best rounding, counted from the
     last new best and only once some rounding has a defined score) or
-    "max_iters" (the iteration cap).  converged is True for the first two
+    "max_iters" (the _MAX_ITERS cap).  converged is True for the first two
     only: a stalled run stops because its subset stopped improving, not
     because the objective settled.
 
@@ -246,10 +244,14 @@ def _objective_from_gram(gram, *, work=None):
 def coherence_objective(phi, z):
     """Smoothed average-squared-coherence objective at weights `z`.
 
-    Finite for any finite phi and any z in the box, including z = 0.
-    Weights must be finite and non-negative (see gram_matrix).
+    The value is that of phi scaled to unit RMS (see run_insense), so it
+    does not depend on the scale of phi and is finite for any finite phi
+    and any z in the box, including z = 0.  G(z) is positive
+    semidefinite, so each column pair adds a term in (0, _EPS1 / _EPS2]
+    and the value lies in (0, 5 n (n - 1)].  Weights must be finite and
+    non-negative (see gram_matrix).
     """
-    return _objective_from_gram(gram_matrix(as_sensing_matrix(phi), z))
+    return _objective_from_gram(gram_matrix(_unit_rms(as_sensing_matrix(phi))[0], z))
 
 
 def gram_gradient(gram, *, work=None):
@@ -324,12 +326,10 @@ def _score(phi, subset, scores):
     return scores[key]
 
 
-def _run_single(phi, m, z, max_iters, work, callback=None):
-    """One descent from the feasible weights `z`, at most max_iters steps."""
+def _run_single(phi, m, z, work, callback=None):
+    """One descent from the feasible weights `z`, at most _MAX_ITERS steps."""
     gram = gram_matrix(phi, z, work=work)
     f = _objective_from_gram(gram, work=work)
-    if not np.isfinite(f):
-        raise NumericalFailureError("objective non-finite at the initial point", iteration=0)
     work.accept(gram)
     trace = [f]
     evals = 1
@@ -340,7 +340,7 @@ def _run_single(phi, m, z, max_iters, work, callback=None):
     best = (_score(phi, subset, work.scores), 0, subset)
     # a zero dz keeps the first step at _LS_INIT_STEP
     step, z_prev, grad_prev = _LS_INIT_STEP, z, 0.0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, _MAX_ITERS + 1):
         grad = weight_gradient(phi, gram, work=work)
         step = _bb_step(z - z_prev, grad - grad_prev, step, _LS_INIT_STEP)
         # backtracks move along the segment from z to end (module docstring)
@@ -349,11 +349,6 @@ def _run_single(phi, m, z, max_iters, work, callback=None):
         for _ in range(_MAX_BACKTRACKS):
             f_cand = _objective_from_gram(gram_cand, work=work)
             evals += 1
-            if not np.isfinite(f_cand):
-                raise NumericalFailureError(
-                    f"objective became non-finite at iteration {iterations}",
-                    iteration=iterations,
-                )
             if f_cand <= f:
                 break
             t *= 0.5
@@ -362,7 +357,8 @@ def _run_single(phi, m, z, max_iters, work, callback=None):
             # no step at resolvable sizes descends; treat as converged
             stop_reason = "no_descent"
             break
-        rel_change = abs(f_cand - f) / max(abs(f), _REL_FLOOR)
+        # f > 0, as every objective is (see coherence_objective)
+        rel_change = (f - f_cand) / f
         step *= t
         z_prev, grad_prev = z, grad
         z = end if t == 1.0 else (1.0 - t) * z + t * end
@@ -446,7 +442,7 @@ def run_insense(phi, m, cfg=None, callback=None):
         if (r > 0 or cfg.init == "uniform-plus-jitter") and cfg.jitter_scale > 0.0:
             jitter = cfg.jitter_scale * seeded_rng(cfg.seed, r).standard_normal(d)
             z = project_sbs(z + jitter, m).z
-        results.append(_run_single(phi, m, z, cfg.max_iters, work, callback=callback))
+        results.append(_run_single(phi, m, z, work, callback=callback))
     # min keeps the earliest of equal keys
     best = min(results, key=lambda res: (
         res.subset_mu_avg is None,

@@ -61,8 +61,9 @@ def project_sbs(y, m):
     y : array_like, shape (d,)
         Finite point to project.
     m : float
-        Budget, 0 < m <= d.  Non-integer budgets are accepted; bools are
-        rejected.
+        Budget, 0 < m <= d: a real scalar or 0-d array.  Non-integer
+        budgets are accepted; bools, strings, None and complex numbers
+        are rejected.
 
     Returns
     -------
@@ -78,8 +79,9 @@ def project_sbs(y, m):
     if not np.all(np.isfinite(y)):
         raise ValueError("cannot project a non-finite point")
     d = y.size
-    if isinstance(m, (bool, np.bool_)):
-        raise InfeasibleConstraintError(f"budget m={m!r} must be a number, not a bool")
+    # real scalars and 0-d arrays only: no bool, string, None or complex
+    if np.ndim(m) != 0 or np.asarray(m).dtype.kind not in "iuf":
+        raise InfeasibleConstraintError(f"budget m={m!r} must be a real number")
     if not 0.0 < m <= d:
         raise InfeasibleConstraintError(f"budget m={m} outside (0, {d}]")
     if m == d:

@@ -123,8 +123,8 @@ def test_dispatch_matches_direct_calls():
     # the cap on the enumeration is a constant, not an option
     with pytest.raises(InsenseError, match="unknown options"):
         registry("exhaustive-mu-avg", exhaustive_limit=10)
-    subset, result = registry("insense", seed=7, max_iters=20)
-    direct = run_insense(phi, 3, InsenseConfig(seed=7, max_iters=20))
+    subset, result = registry("insense", seed=7, restarts=2)
+    direct = run_insense(phi, 3, InsenseConfig(seed=7, restarts=2))
     np.testing.assert_array_equal(subset, direct.subset)
     np.testing.assert_array_equal(result.final_weights, direct.final_weights)
 
@@ -137,12 +137,12 @@ def test_config_rejects_unknown_method():
     with pytest.raises(InsenseError, match="unknown options"):
         configure("fp-greedy", {"exhaustive_limit": 5})
     # fixed constants of the line search and stop rule, no longer settings
-    for name in ("rel_tol", "ls_shrink", "ls_init_step"):
+    for name in ("rel_tol", "ls_shrink", "ls_init_step", "max_iters"):
         with pytest.raises(InsenseError, match="unknown options"):
             configure("insense", {name: 0.5})
     for method, options in (
-        ("insense", {"max_iters": 0}),
-        ("insense", {"max_iters": True}),
+        ("insense", {"restarts": 0}),
+        ("insense", {"restarts": True}),
         ("insense", {"restarts": 1.5}),
         ("insense", {"init": "zeros"}),
     ):

@@ -215,8 +215,8 @@ def test_select_options_are_the_flags_given(capsys, tmp_path):
 
     # flags the method does not take were dropped without a word
     for method, flags, unknown in (("random", ["--restarts", "5"], "['restarts']"),
-                                   ("fp-greedy", ["--max-iters", "3", "--init", "uniform"],
-                                    "['init', 'max_iters']")):
+                                   ("fp-greedy", ["--restarts", "3", "--init", "uniform"],
+                                    "['init', 'restarts']")):
         capsys.readouterr()
         assert main([*argv, "--method", method, *flags]) == 1
         assert capsys.readouterr().err == f"error: unknown options for {method}: {unknown}\n"
@@ -234,7 +234,7 @@ def test_selected_subset_does_not_depend_on_blas_threads(tmp_path):
         out = tmp_path / f"selection_{threads}.json"
         subprocess.run(
             [sys.executable, "-m", "insense.cli", "select", "--ensemble", "uniform-gaussian",
-             "--d", "400", "--n", "300", "--m", "12", "--max-iters", "200", "--out", str(out)],
+             "--d", "400", "--n", "300", "--m", "12", "--restarts", "2", "--out", str(out)],
             env=env, check=True, stdout=subprocess.DEVNULL, timeout=300,
         )
         subsets.append(json.loads(out.read_text())["indices"])
@@ -276,6 +276,9 @@ def test_usage_errors_exit_2():
                       f"--subset={subset}"])
     # was ignored: an unsigned matrix, with "signed": true in its manifest
     _usage_error(["generate", "--ensemble", "gaussian", "--d", "3", "--n", "2", "--signed"])
+    # the iteration cap is a constant of the descent, not a flag
+    _usage_error(["select", "--ensemble", "gaussian", "--d", "5", "--n", "4", "--m", "2",
+                  "--max-iters", "5"])
 
 
 def test_runtime_errors_exit_1(capsys, tmp_path):
@@ -336,7 +339,7 @@ def _benchmark_config(output_dir, matrix=None):
         "budgets": [4, 6],
         "sparsities": [1],
         "selectors": [
-            {"method": "insense", "name": "ins", "max_iters": 60},
+            {"method": "insense", "name": "ins"},
             {"method": "random"},
             {"method": "fp-greedy"},
         ],
@@ -601,13 +604,9 @@ def test_benchmark_config_errors_exit_1(capsys, tmp_path):
     variants.append(dict(base, selectors=[{"method": "warp"}]))
     variants.append(dict(base, selectors=[{"method": ["insense"]}]))
     variants.append(dict(base, selectors=[{"method": "random", "seed": 1}]))
-    # former InsenseConfig fields: ls_c was never read, the others are constants now
-    for name, value in (("ls_c", 1e-4), ("rel_tol", 1e-7), ("ls_shrink", 0.5),
-                        ("ls_init_step", 1.0), ("eps1", 1e-9), ("eps2", 1e-10)):
-        variants.append(dict(base, selectors=[{"method": "insense", name: value}]))
     # option values are checked before any cell runs
-    variants.append(dict(base, selectors=[{"method": "insense", "max_iters": 0}]))
-    variants.append(dict(base, selectors=[{"method": "insense", "max_iters": 2.5}]))
+    variants.append(dict(base, selectors=[{"method": "insense", "restarts": 0}]))
+    variants.append(dict(base, selectors=[{"method": "insense", "restarts": 2.5}]))
     variants.append(dict(base, selectors=[{"method": "insense", "restarts": True}]))
     variants.append(dict(base, selectors=[{"method": "insense", "init": "zeros"}]))
     # json writes and reads these as NaN and Infinity
@@ -665,3 +664,12 @@ def test_benchmark_config_errors_exit_1(capsys, tmp_path):
         assert code == 1, f"variant {i} should fail"
         assert err.startswith("error: "), f"variant {i}: {err!r}"
         assert not (tmp_path / "out").exists(), f"variant {i} ran cells"
+    # former InsenseConfig fields: ls_c was never read, the others are constants now
+    for name, value in (("ls_c", 1e-4), ("rel_tol", 1e-7), ("ls_shrink", 0.5),
+                        ("ls_init_step", 1.0), ("eps1", 1e-9), ("eps2", 1e-10),
+                        ("max_iters", 5000)):
+        path.write_text(json.dumps(dict(base, selectors=[{"method": "insense", name: value}])))
+        capsys.readouterr()
+        assert main(["benchmark", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: unknown options for insense: ['{name}']\n"
+        assert not (tmp_path / "out").exists(), f"{name} ran cells"

@@ -181,10 +181,17 @@ def test_full_budget_returns_ones():
 
 
 def test_budget_errors():
-    y = np.zeros(4)
-    for bad in (0.0, -1.0, 4.5, True, np.True_):
-        with pytest.raises(InfeasibleConstraintError):
+    y = np.array([0.3, -0.2, 0.9, 0.1])
+    # "1" through np.array([1.0]) used to raise a bare TypeError from the
+    # range comparison, and a 0-d bool array was read as a budget of 1
+    for bad in (0.0, -1.0, 4.5, True, np.True_, "1", None, 1 + 0j, np.array([1.0]),
+                np.array(True)):
+        with pytest.raises(InfeasibleConstraintError, match="budget m="):
             project_sbs(y, bad)
+    # real scalars and 0-d arrays are budgets
+    expected = project_sbs(y, 2).z
+    for good in (2.0, np.int64(2), np.float32(2.0), np.array(2), np.array(2.0)):
+        np.testing.assert_array_equal(project_sbs(y, good).z, expected)
 
 
 def test_input_errors():
