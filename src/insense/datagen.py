@@ -27,7 +27,8 @@ class EnsembleSpec:
     block (d = 2n).  uniform-gaussian stacks `gaussian_rows` Gaussian rows
     atop uniform [0,1) rows.  signed switches bernoulli01 from {0,1} to
     {-1,1} draws, and no other kind takes it.  d, n, seed and gaussian_rows
-    must be integers and signed a bool; anything else raises a ValueError.
+    must be integers, with d >= 1, n >= 2 and gaussian_rows >= 1 on every
+    kind, and signed a bool; anything else raises a ValueError.
     """
 
     kind: str
@@ -40,19 +41,17 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        for name in ("d", "n", "seed", "gaussian_rows"):
-            setattr(self, name, as_integer(getattr(self, name), name))
+        for name, least in (("d", 1), ("n", 2), ("seed", None), ("gaussian_rows", 1)):
+            setattr(self, name, as_integer(getattr(self, name), name, least))
         if not isinstance(self.signed, bool):
             raise ValueError(f"signed must be true or false, got {self.signed!r}")
         if self.signed and self.kind != "bernoulli01":
             raise ValueError(f"signed applies only to bernoulli01, not {self.kind}")
-        if self.d < 1 or self.n < 2:
-            raise ValueError(f"need d >= 1 and n >= 2, got {self.d}x{self.n}")
         if self.kind == "identity-gaussian" and self.d != 2 * self.n:
             raise ValueError(f"identity-gaussian needs d = 2n, got d={self.d}, n={self.n}")
-        if self.kind == "uniform-gaussian" and not 1 <= self.gaussian_rows < self.d:
+        if self.kind == "uniform-gaussian" and self.gaussian_rows >= self.d:
             raise ValueError(
-                f"uniform-gaussian needs 1 <= gaussian_rows < d, got {self.gaussian_rows}"
+                f"uniform-gaussian needs gaussian_rows < d={self.d}, got {self.gaussian_rows}"
             )
 
 

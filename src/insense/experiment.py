@@ -164,8 +164,6 @@ def resolve_config(raw, base_dir=".", output_dir="."):
             raise InsenseError("each selector entry needs a 'method'")
         method = entry["method"]
         options = _options(entry)
-        if "seed" in options:
-            raise InsenseError("per-selector seeds are derived from the top-level seed")
         configure(method, options)
         label = entry.get("name", method)
         if not isinstance(label, str):

@@ -48,9 +48,11 @@ def validate_subset(indices, d):
     whole = [as_whole_number(i) for i in indices]
     if None in whole:
         raise InvalidSubsetError(f"subset indices must be whole numbers, got {indices!r}")
+    # on the Python ints, so that an index past the int64 range is out of
+    # range too rather than an OverflowError
+    if not all(0 <= i < d for i in whole):
+        raise InvalidSubsetError(f"subset indices out of range for d={d}: {whole}")
     idx = np.asarray(whole, dtype=int)
-    if np.any(idx < 0) or np.any(idx >= d):
-        raise InvalidSubsetError(f"subset indices out of range for d={d}: {idx.tolist()}")
     if idx.size > 1 and np.any(np.diff(idx) <= 0):
         raise InvalidSubsetError(
             f"subset indices must be strictly increasing without duplicates: {idx.tolist()}"

@@ -16,13 +16,13 @@ _MASK64 = (1 << 64) - 1
 
 
 def _key(streams):
+    if not streams:
+        raise ValueError("need at least one stream key")
     return [as_integer(s, "seed") & _MASK64 for s in streams]
 
 
 def seeded_rng(*streams):
     """Generator for the stream keyed by the given integers (order matters)."""
-    if not streams:
-        raise ValueError("need at least one stream key")
     return np.random.default_rng(_key(streams))
 
 
@@ -33,7 +33,5 @@ def derive_seed(*streams):
     component; seeded_rng(*streams) and seeded_rng(derive_seed(*streams))
     are both deterministic but draw from different streams.
     """
-    if not streams:
-        raise ValueError("need at least one stream key")
     ss = np.random.SeedSequence(_key(streams))
     return int(ss.generate_state(1, np.uint64)[0])

@@ -1,7 +1,10 @@
 """CLI subcommands end to end through main(argv).
 
 Usage mistakes must exit with status 2 (raised by argparse as
-SystemExit), runtime failures with 1 (returned), and successes with 0.
+SystemExit): what argparse rejects (a missing flag, a value that does not
+parse), flag combinations and ensemble shapes.  Every value the library
+rejects and every runtime failure exits with 1 (returned), printing the
+library's message on one `error:` line; successes exit with 0.
 """
 
 import csv
@@ -16,8 +19,9 @@ import numpy as np
 import pytest
 
 import insense
-from insense import InsenseError, experiment, load_matrix, save_matrix
+from insense import BpConfig, InsenseError, evaluate_recovery, experiment, load_matrix, save_matrix
 from insense.cli import build_parser, main
+from insense.metrics import validate_budget, validate_subset
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(insense.__file__)))
 
@@ -263,17 +267,16 @@ def test_metrics_on_matrix_file_with_subset(capsys, tmp_path):
 
 
 def test_usage_errors_exit_2():
-    _usage_error(["select", "--ensemble", "gaussian", "--d", "5", "--n", "4", "--m", "0"])
     _usage_error(["select", "--ensemble", "gaussian", "--m", "2"])  # no --d/--n
     _usage_error(["select", "--ensemble", "identity-gaussian", "--d", "10", "--n", "6",
                   "--m", "2"])  # bad block shape
+    _usage_error(["select", "--ensemble", "gaussian", "--d", "0", "--n", "4", "--m", "1"])
+    _usage_error(["generate", "--ensemble", "gaussian", "--d", "5", "--n", "4",
+                  "--gaussian-rows", "0"])  # checked on every kind
     _usage_error(["metrics"])  # no source at all
-    _usage_error(["metrics", "--ensemble", "gaussian", "--d", "4", "--n", "3",
-                  "--subset", "1,1"])  # duplicate indices
     _usage_error(["select", "--ensemble", "gaussian", "--d", "5", "--n", "4", "--m", "two"])
-    for subset in ("0,x", "-1,2"):  # a non-integer entry, a negative index
-        _usage_error(["metrics", "--ensemble", "gaussian", "--d", "4", "--n", "3",
-                      f"--subset={subset}"])
+    _usage_error(["metrics", "--ensemble", "gaussian", "--d", "4", "--n", "3",
+                  "--subset=0,x"])  # a non-integer entry
     # was ignored: an unsigned matrix, with "signed": true in its manifest
     _usage_error(["generate", "--ensemble", "gaussian", "--d", "3", "--n", "2", "--signed"])
     # the iteration cap is a constant of the descent, not a flag
@@ -313,11 +316,39 @@ def test_runtime_errors_exit_1(capsys, tmp_path):
     assert code == 1
 
 
+_GAUSSIAN_5X4 = ["--ensemble", "gaussian", "--d", "5", "--n", "4"]
+
+
+# each value rule the library owns, given by flag: the same message as the
+# library call on the same value, and exit 1
+@pytest.mark.parametrize("argv, library_call", [
+    (["select", *_GAUSSIAN_5X4, "--m", "0"], lambda: validate_budget(0, 5)),
+    (["select", *_GAUSSIAN_5X4, "--m", "2", "--restarts", "0"],
+     lambda: experiment.configure("insense", {"restarts": 0})),
+    (["recover", *_GAUSSIAN_5X4, "--k", "0"],
+     lambda: evaluate_recovery(np.eye(5, 4), range(5), 0)),
+    (["recover", *_GAUSSIAN_5X4, "--k", "1", "--sample-cap", "0"],
+     lambda: BpConfig(sample_cap=0)),
+    (["metrics", *_GAUSSIAN_5X4, "--subset", "1,1"], lambda: validate_subset([1, 1], 5)),
+    (["metrics", *_GAUSSIAN_5X4, "--subset=-1,2"], lambda: validate_subset([-1, 2], 5)),
+    (["metrics", *_GAUSSIAN_5X4, "--subset", f"0,{2**70}"],
+     lambda: validate_subset([0, 2**70], 5)),
+], ids=["m", "restarts", "k", "sample-cap", "duplicate", "negative", "past-int64"])
+def test_value_errors_exit_1_with_the_library_message(capsys, argv, library_call):
+    with pytest.raises((InsenseError, ValueError)) as raised:
+        library_call()
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {raised.value}\n"
+
+
 @pytest.mark.parametrize(
     "content",
     ["[1, 2, 3]", "3", "null", '{"indices": [0, 2.7]}', '{"indices": [0, true]}',
-     '{"indices": ["1", 2]}'],
-    ids=["list-root", "number-root", "null-root", "fraction", "bool", "string"],
+     '{"indices": ["1", 2]}', '{"indices": [0, 1e300]}'],
+    ids=["list-root", "number-root", "null-root", "fraction", "bool", "string", "huge"],
 )
 def test_selection_file_must_hold_integer_indices(capsys, tmp_path, content):
     selection = tmp_path / "selection.json"
@@ -583,7 +614,7 @@ def test_resolve_config_checks_the_matrix_as_an_ensemble_spec(tmp_path):
         ({"kind": "gaussian", "d": 12, "n": 8, "seed": 3}, "unknown matrix keys: ['seed']"),
         ({"kind": "identity-gaussian", "d": 12, "n": 8}, "d = 2n"),
         ({"kind": "uniform-gaussian", "d": 12, "n": 8, "gaussian_rows": 12}, "gaussian_rows < d"),
-        ({"kind": "gaussian", "d": 0, "n": 8}, "d >= 1"),
+        ({"kind": "gaussian", "d": 0, "n": 8}, "d must be at least 1"),
         ({"kind": "gaussian", "d": 12}, "n"),
         ({"kind": "gaussian", "d": 12, "n": 8.0}, "n must be an integer"),
         ({"kind": "bernoulli01", "d": 12, "n": 8, "signed": 1}, "signed"),
@@ -642,6 +673,9 @@ def test_benchmark_config_errors_exit_1(capsys, tmp_path):
     variants.append(dict(base, matrix={"kind": "identity-gaussian", "d": 12, "n": 8}))
     variants.append(dict(base, matrix={"kind": "uniform-gaussian", "d": 12, "n": 8,
                                        "gaussian_rows": 12}))
+    # was accepted: only uniform-gaussian checked its Gaussian block height
+    variants.append(dict(base, matrix={"kind": "gaussian", "d": 12, "n": 8,
+                                       "gaussian_rows": 0}))
     variants.append(dict(base, matrix={"kind": "warp", "d": 12, "n": 8}))
     variants.append(dict(base, sparsities=[1, 1]))
     variants.append(dict(base, trials=[2]))

@@ -171,6 +171,16 @@ def test_subset_validation_errors():
         validate_subset([[0, 1]], 5)
 
 
+def test_indices_past_the_int64_range_are_out_of_range():
+    # were a bare OverflowError from the int64 conversion
+    phi = np.arange(12.0).reshape(4, 3)
+    for bad in ([0, 2**70], [0, 1e300], [-(2**70), 1], [0, 2**63]):
+        with pytest.raises(InvalidSubsetError, match="out of range for d=4"):
+            validate_subset(bad, 4)
+        with pytest.raises(InvalidSubsetError, match="out of range for d=4"):
+            extract_submatrix(phi, bad)
+
+
 def test_fractional_and_bool_indices_are_rejected():
     phi = np.arange(12.0).reshape(4, 3)
     # [0.5, 2.7] used to be truncated to rows 0 and 2
