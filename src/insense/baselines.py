@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .exceptions import ExhaustiveLimitError
-from .metrics import _coherence_values, _rms, _unit_rms, as_sensing_matrix, validate_budget
+from .metrics import _rms_coherence, _unit_rms, as_sensing_matrix, validate_budget
 from .seeding import seeded_rng
 
 EXHAUSTIVE_LIMIT = 1_000_000  # cap on the subsets one exhaustive search visits
@@ -68,7 +68,7 @@ def select_exhaustive_mu_avg(phi, m):
     best_subset = None
     best_val = math.inf
     for combo in itertools.combinations(range(d), m):
-        val = _rms(_coherence_values(phi[list(combo)]))
+        val = _rms_coherence(phi[list(combo)])
         key = math.inf if val is None else val
         if best_subset is None or key < best_val:
             best_subset, best_val = combo, key

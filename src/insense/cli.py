@@ -74,7 +74,6 @@ def _add_ensemble_flags(parser):
     parser.add_argument(
         "--gaussian-rows",
         type=int,
-        default=EnsembleSpec.gaussian_rows,
         help=f"Gaussian block height of uniform-gaussian (default {EnsembleSpec.gaussian_rows})",
     )
     parser.add_argument(
@@ -96,25 +95,32 @@ def _add_subset_flags(parser):
 
 
 def _resolve_spec(args):
-    # flag combinations that argparse alone cannot express
+    # flag combinations that argparse alone cannot express; args.parser is
+    # the subcommand's, so its usage line heads the message
     if args.d is None or args.n is None:
-        build_parser().error("--ensemble requires --d and --n")
+        args.parser.error("--ensemble requires --d and --n")
+    rows = EnsembleSpec.gaussian_rows if args.gaussian_rows is None else args.gaussian_rows
     try:
         return EnsembleSpec(
             args.ensemble,
             d=args.d,
             n=args.n,
             seed=args.seed,
-            gaussian_rows=args.gaussian_rows,
+            gaussian_rows=rows,
             signed=args.signed,
         )
     except ValueError as exc:
-        build_parser().error(str(exc))
+        args.parser.error(str(exc))
 
 
 def _load_phi(args):
     """Return (matrix, source-description) from --matrix or --ensemble flags."""
     if args.matrix is not None:
+        ensemble_only = (("--d", args.d), ("--n", args.n),
+                         ("--gaussian-rows", args.gaussian_rows), ("--signed", args.signed or None))
+        given = [flag for flag, value in ensemble_only if value is not None]
+        if given:
+            args.parser.error(f"{', '.join(given)} not allowed with --matrix (ensemble only)")
         return load_matrix(args.matrix), {"file": args.matrix}
     spec = _resolve_spec(args)
     return generate(spec), {"ensemble": dataclasses.asdict(spec)}
@@ -243,7 +249,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output CSV path (default: derived name in the output dir)")
     p.add_argument("--outdir", help=f"output directory (default: ${OUTDIR_ENV} or '.')")
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, parser=p)
 
     p = sub.add_parser("select", help="run a selector and write the chosen rows as JSON")
     _add_source_flags(p)
@@ -256,14 +262,14 @@ def build_parser():
     p.add_argument("--init", choices=INIT_MODES, help=insense_only(InsenseConfig.init))
     p.add_argument("--out", help="output JSON path (default: selection.json in the output dir)")
     p.add_argument("--outdir", help=f"output directory (default: ${OUTDIR_ENV} or '.')")
-    p.set_defaults(func=cmd_select)
+    p.set_defaults(func=cmd_select, parser=p)
 
     p = sub.add_parser("metrics", help="report quality metrics for a matrix or submatrix")
     _add_source_flags(p)
     _add_subset_flags(p)
     p.add_argument("--seed", type=int, default=0, help="ensemble seed")
     p.add_argument("--out", help="optional JSON output path")
-    p.set_defaults(func=cmd_metrics)
+    p.set_defaults(func=cmd_metrics, parser=p)
 
     p = sub.add_parser("recover", help="planted-signal recovery rate for selected rows")
     _add_source_flags(p)
@@ -277,7 +283,7 @@ def build_parser():
         help=f"max supports; larger support counts are sampled (default {BpConfig.sample_cap})",
     )
     p.add_argument("--out", help="optional JSON output path")
-    p.set_defaults(func=cmd_recover)
+    p.set_defaults(func=cmd_recover, parser=p)
 
     p = sub.add_parser("benchmark", help="sweep (trial, selector, budget) cells from a config")
     p.add_argument("--config", required=True, metavar="FILE", help="JSON experiment config")

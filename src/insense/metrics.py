@@ -9,7 +9,6 @@ potential at row pairs.  A metric that is meaningless for the given matrix
 import numpy as np
 
 from dataclasses import dataclass
-from functools import lru_cache
 from numbers import Integral
 
 from .exceptions import InfeasibleConstraintError, InvalidSubsetError
@@ -105,18 +104,6 @@ def extract_submatrix(phi, indices):
     return phi[idx]
 
 
-@lru_cache(maxsize=1)
-def _pair_positions(n):
-    """Flat positions of the i < j entries of an n x n matrix, row by row (read-only).
-
-    A selection scores subsets of one n, so only the last n is kept: the
-    array holds n (n - 1) / 2 int64 entries, 16 MB at n = 2000.
-    """
-    flat = np.ravel_multi_index(np.triu_indices(n, k=1), (n, n))
-    flat.flags.writeable = False
-    return flat
-
-
 def _unit_rms(phi):
     """phi / 2^e and e, for the even e that puts the RMS entry of phi / 2^e in [0.5, 2).
 
@@ -135,8 +122,8 @@ def _unit_rms(phi):
     return (np.ldexp(phi, -exponent) if exponent else phi), exponent
 
 
-def _coherence_values(unit):
-    """Upper-triangle column coherences as a flat array, or None if undefined.
+def _unit_columns(unit):
+    """unit with its columns scaled to norm 1, or None if a column is zero.
 
     unit is at unit RMS (see _unit_rms), so that no column norm leaves the
     float range; the exhaustive baseline passes row subsets of such a matrix.
@@ -144,29 +131,59 @@ def _coherence_values(unit):
     norms = np.linalg.norm(unit, axis=0)
     if np.any(norms <= ZERO_RTOL * norms.max()):
         return None
-    unit = unit / norms
-    gram = unit.T @ unit
-    c = gram.take(_pair_positions(unit.shape[1]))
-    np.abs(c, out=c)
-    return np.minimum(c, 1.0, out=c)
+    return unit / norms
 
 
-def _rms(c):
-    return None if c is None else float(np.sqrt(np.mean(c**2)))
+def _rms_coherence(unit):
+    """Root-mean-square column coherence of unit (at unit RMS), or None if undefined.
+
+    The squared coherences of the normalized columns a_i sum, over all
+    ordered pairs i != j, to ||A'A||_F^2 - sum_i ||a_i||^4, and
+    ||A'A||_F = ||AA'||_F (the frame potential identity).  So with fewer
+    rows m than columns n the sum comes from the smaller m x m row Gram;
+    otherwise the diagonal of the n x n column Gram is zeroed and its
+    squares summed, which keeps near-orthonormal columns near 0 instead
+    of cancelling against n.
+    """
+    cols = _unit_columns(unit)
+    if cols is None:
+        return None
+    m, n = cols.shape
+    if m < n:
+        rows = cols @ cols.T
+        sq_norms = np.einsum("ij,ij->j", cols, cols)
+        total = np.sum(rows * rows) - sq_norms @ sq_norms
+    else:
+        gram = cols.T @ cols
+        np.einsum("ii->i", gram)[:] = 0.0
+        total = np.sum(gram * gram)
+    # rounding can leave the sum a hair outside [0, n (n - 1)]
+    return min(float(np.sqrt(max(total, 0.0) / (n * (n - 1)))), 1.0)
 
 
-def _largest(c):
-    return None if c is None else float(np.max(c))
+def _max_coherence(unit):
+    """Largest column coherence of unit (at unit RMS), or None if undefined.
+
+    The largest off-diagonal entry of |A'A| for the normalized columns,
+    clipped at 1.
+    """
+    cols = _unit_columns(unit)
+    if cols is None:
+        return None
+    gram = cols.T @ cols
+    np.abs(gram, out=gram)
+    np.einsum("ii->i", gram)[:] = 0.0
+    return min(float(gram.max()), 1.0)
 
 
 def mu_avg(phi):
     """Root-mean-square coherence over all column pairs, or None if any column is zero."""
-    return _rms(_coherence_values(_unit_rms(as_sensing_matrix(phi))[0]))
+    return _rms_coherence(_unit_rms(as_sensing_matrix(phi))[0])
 
 
 def mu_max(phi):
     """Largest pairwise column coherence, or None if any column is zero."""
-    return _largest(_coherence_values(_unit_rms(as_sensing_matrix(phi))[0]))
+    return _max_coherence(_unit_rms(as_sensing_matrix(phi))[0])
 
 
 def _potential(unit, exponent):
@@ -213,10 +230,9 @@ def metric_report(phi):
     """All four quality metrics of `phi` in one report."""
     phi = as_sensing_matrix(phi)
     unit, exponent = _unit_rms(phi)
-    coherences = _coherence_values(unit)  # one Gram for both coherence metrics
     return MetricReport(
-        mu_avg=_rms(coherences),
-        mu_max=_largest(coherences),
+        mu_avg=_rms_coherence(unit),
+        mu_max=_max_coherence(unit),
         frame_potential=_potential(unit, exponent),
         condition_number=condition_number(phi),
     )

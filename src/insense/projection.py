@@ -76,9 +76,12 @@ def project_sbs(y, m):
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise ValueError(f"expected a non-empty 1-D vector, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("cannot project a non-finite point")
     d = y.size
+    # Stable sort so ties keep original order in the bookkeeping below.
+    # NaN sorts last and -inf first, so the two ends tell a finite point.
+    order = np.argsort(y, kind="stable")
+    if not (y[order[0]] > -np.inf and y[order[-1]] < np.inf):
+        raise ValueError("cannot project a non-finite point")
     # real scalars and 0-d arrays only: no bool, string, None or complex
     if np.ndim(m) != 0 or np.asarray(m).dtype.kind not in "iuf":
         raise InfeasibleConstraintError(f"budget m={m!r} must be a real number")
@@ -86,11 +89,9 @@ def project_sbs(y, m):
         raise InfeasibleConstraintError(f"budget m={m} outside (0, {d}]")
     if m == d:
         # the feasible set is the single vertex of all ones
-        return ProjectionResult(z=np.ones(d), lam=1.0 - float(np.min(y)), k0=0, k1=d)
+        return ProjectionResult(z=np.ones(d), lam=1.0 - float(y[order[0]]), k0=0, k1=d)
 
-    # Stable sort so ties keep original order in the bookkeeping below.
-    # Then shift by the ceil(m)-th largest entry and clip (module docstring).
-    order = np.argsort(y, kind="stable")
+    # shift by the ceil(m)-th largest entry and clip (module docstring)
     shift = y[order[d - math.ceil(m)]]
     ys = np.clip(y[order] - shift, -1.0, 1.0)
     prefix = np.concatenate(([0.0], np.cumsum(ys)))

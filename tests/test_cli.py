@@ -284,6 +284,32 @@ def test_usage_errors_exit_2():
                   "--max-iters", "5"])
 
 
+@pytest.mark.parametrize("flags", [["--d", "3"], ["--n", "3"], ["--gaussian-rows", "0"],
+                                   ["--signed"], ["--d", "0", "--signed", "--gaussian-rows", "0"]])
+@pytest.mark.parametrize("command", ["select", "metrics", "recover"])
+def test_ensemble_flags_with_a_matrix_are_usage_errors(capsys, tmp_path, command, flags):
+    # were ignored: the matrix file was read, and the command exited 0
+    path = tmp_path / "phi.csv"
+    save_matrix(path, np.eye(4))
+    required = {"select": ["--m", "2"], "metrics": [], "recover": ["--k", "1"]}[command]
+    capsys.readouterr()
+    _usage_error([command, "--matrix", str(path), *flags, *required])
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: insense {command}")
+    assert "not allowed with --matrix" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--ensemble", "bernoulli01", "--d", "5", "--n", "4", "--gaussian-rows", "-7"],
+    ["generate", "--ensemble", "gaussian", "--d", "5"],
+])
+def test_ensemble_shape_errors_print_the_subcommand_usage(capsys, argv):
+    # was the top-level line, usage: insense [-h] COMMAND ...
+    capsys.readouterr()
+    _usage_error(argv)
+    assert capsys.readouterr().err.splitlines()[0].startswith("usage: insense generate")
+
+
 def test_runtime_errors_exit_1(capsys, tmp_path):
     code, _ = _run(capsys, ["metrics", "--matrix", str(tmp_path / "missing.csv")])
     assert code == 1

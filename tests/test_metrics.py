@@ -75,29 +75,38 @@ def test_against_bruteforce_loops():
         assert condition_number(phi) == pytest.approx(s[0] / s[-1], rel=1e-12)
 
 
-def _coherence_reference(phi):
-    """The coherence array as computed before the pair positions were cached."""
-    norms = np.linalg.norm(phi, axis=0)
-    unit = phi / norms
-    gram = unit.T @ unit
-    return np.minimum(np.abs(gram[np.triu_indices(phi.shape[1], k=1)]), 1.0)
+def _loop_rms_and_max(phi):
+    vals = _coherence_loop(phi)
+    return math.sqrt(math.fsum(v * v for v in vals) / len(vals)), min(max(vals), 1.0)
 
 
-def test_cached_pair_positions_keep_the_coherences_bit_for_bit():
+def test_coherence_identity_matches_the_loop():
     rng = np.random.default_rng(43)
-    # each size is scored three times, so later calls reuse the cached
-    # positions, and sizes come back, so the cache also refills
-    for n in (2, 3, 7, 50, 3, 200, 7, 50):
-        phi = rng.standard_normal((int(rng.integers(1, 12)), n))
-        phi[:, 0] = phi[:, 1]  # one pair at coherence 1, up to rounding
-        ref = _coherence_reference(phi)
-        assert mu_avg(phi) == float(np.sqrt(np.mean(ref**2)))
-        assert mu_max(phi) == float(np.max(ref))
+    # m < n: mu_avg comes from the m x m row Gram
+    dup = rng.standard_normal((5, 9))
+    dup[:, 0] = dup[:, 1]  # one pair at coherence 1
+    wide = [rng.standard_normal((1, 6)), rng.standard_normal((1, 2)), dup,
+            np.ldexp(rng.standard_normal((4, 7)), 500),
+            np.ldexp(rng.standard_normal((4, 7)), -500)]
+    for phi in wide:
+        rms, largest = _loop_rms_and_max(np.ldexp(phi, -metrics._unit_rms(phi)[1]))
+        assert mu_avg(phi) == pytest.approx(rms, rel=1e-12)
+        assert mu_max(phi) == pytest.approx(largest, rel=1e-12)
+    assert 1.0 - 1e-15 <= mu_max(dup) <= 1.0  # 1 up to rounding, never past it
+    # m >= n: the zeroed diagonal of the n x n Gram keeps orthonormal columns at 0
+    assert mu_avg(np.eye(4)) == 0.0
+    q = np.linalg.qr(rng.standard_normal((50, 50)))[0]
+    assert mu_avg(q) <= 1e-12 and mu_max(q) <= 1e-12
+    tall = rng.standard_normal((80, 20))
+    rms, largest = _loop_rms_and_max(tall)
+    assert abs(mu_avg(tall) - rms) <= 1e-12 and abs(mu_max(tall) - largest) <= 1e-12
+    # a zero column leaves both undefined, and the report repeats the two exactly
+    zero_col = rng.standard_normal((3, 5))
+    zero_col[:, 2] = 0.0
+    assert mu_avg(zero_col) is None and mu_max(zero_col) is None
+    for phi in wide + [np.eye(4), q, tall, zero_col]:
         report = metric_report(phi)
         assert (report.mu_avg, report.mu_max) == (mu_avg(phi), mu_max(phi))
-    # the cached positions cannot be changed by a caller
-    with pytest.raises(ValueError):
-        metrics._pair_positions(7)[0] = 1
 
 
 def test_zero_column_undefines_coherence():

@@ -8,6 +8,7 @@ rows.
 """
 
 import collections
+import re
 import tracemalloc
 
 import numpy as np
@@ -107,6 +108,23 @@ def test_gram_matrix_rejects_non_finite_weights():
             gram_matrix(phi, z)
         with pytest.raises(ValueError, match="finite"):
             coherence_objective(phi, z)
+
+
+@pytest.mark.parametrize("position", [0, 3, 5])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+def test_gram_matrix_weight_checks_keep_each_message(bad, position):
+    phi = generate(EnsembleSpec("gaussian", d=6, n=4, seed=0))
+    z = np.array([0.5, 0.1, 0.0, 1.0, 0.2, 0.0])
+    z[position] = bad
+    message = ("weights must be finite" if not np.isfinite(bad)
+               else "weights must be non-negative, got a minimum of -0.5")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gram_matrix(phi, z)
+    # a non-finite weight is reported before a negative one elsewhere
+    z[(position + 1) % 6] = -2.0
+    message = message if not np.isfinite(bad) else "weights must be non-negative, got a minimum of -2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gram_matrix(phi, z)
 
 
 def test_gram_matrix_takes_a_nested_list():

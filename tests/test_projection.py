@@ -201,3 +201,19 @@ def test_input_errors():
         project_sbs(np.array([]), 1)
     with pytest.raises(ValueError):
         project_sbs(np.array([1.0, np.inf]), 1)
+
+
+@pytest.mark.parametrize("position", [0, 3, 6])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+def test_point_checks_keep_each_error(bad, position):
+    y = np.array([0.3, -0.2, 0.9, 0.1, 0.4, 0.0, 0.7])
+    y[position] = bad
+    if np.isfinite(bad):
+        # a negative entry is a point like any other
+        z = project_sbs(y, 2).z
+        assert abs(z.sum() - 2.0) <= 1e-12 and np.all((z >= 0.0) & (z <= 1.0))
+        return
+    # a non-finite point is reported before any budget error, the full budget included
+    for m in (2, 7, 0.0, 8, "1", None):
+        with pytest.raises(ValueError, match="^cannot project a non-finite point$"):
+            project_sbs(y, m)
